@@ -441,6 +441,9 @@ _PROFILE_COLUMNS = (
     ("dense", "dense_ticks"),
     ("parked", "parked_edges"),
     ("runs", "runner_calls"),
+    ("armed", "lockstep_armed"),
+    ("built", "lockstep_built"),
+    ("declined", "lockstep_declined"),
 )
 
 

@@ -224,6 +224,19 @@ class _ClockPlan:
 #: never detected, which only costs the optimization).
 LOCKSTEP_REC_CAP = 512
 
+#: Recurrences of a safepoint signature, inside one stride window,
+#: before a lockstep recording is armed for it.  Recording taxes every
+#: tick of one round and the round's ``compile()`` costs far more than
+#: a few rounds of dense stepping, so a signature that recurs only a
+#: handful of times never pays it back.
+LOCKSTEP_ARM_RECURRENCES = 4
+
+#: Rounds, at the signature's observed recurrence interval, the window
+#: must still hold when a recording is armed (the recorded round
+#: included): a round armed near the window's end has no replays left
+#: to amortise its recording and codegen.
+LOCKSTEP_ROOM_ROUNDS = 3
+
 #: Consecutive zero-round replay attempts before a cached round plan
 #: is dropped (the occupancy regime it recorded has ended; a fresh
 #: recording will rebuild it if the pattern returns).
@@ -294,10 +307,12 @@ class _RoundPlan:
 class _LockRecorder:
     """One armed lockstep recording: raw captures for a single round.
 
-    Created at the second sighting of a safepoint signature; records
-    every dense-loop event - with the occupancy snapshots and per-DOU
-    stat deltas the plan compiler needs - until the signature recurs,
-    at which point :func:`_build_lock_plan` compiles the round.
+    Created once a safepoint signature clears the cost gate
+    (:data:`LOCKSTEP_ARM_RECURRENCES`, :data:`LOCKSTEP_ROOM_ROUNDS`);
+    records every dense-loop event - with the occupancy snapshots and
+    per-DOU stat deltas the plan compiler needs - until the signature
+    recurs, at which point :func:`_build_lock_plan` compiles the
+    round.
     """
 
     __slots__ = (
@@ -1089,6 +1104,9 @@ class CompiledEngine(Engine):
             "lockstep_batches": 0,
             "orbit_laps": 0,
             "fused_runner_calls": 0,
+            "lockstep_armed": 0,
+            "lockstep_built": 0,
+            "lockstep_declined": 0,
         }
         #: Typed view over the same dict the hot loops mutate raw:
         #: the registry owns instrument naming and kinds, ``_profile``
@@ -1447,11 +1465,16 @@ class CompiledEngine(Engine):
         round**: the same anchor signature (column pcs, pending/loop
         structure, credits, DOU states, hyperperiod phase) seen at two
         batch-event safepoints a whole number of hyperperiods apart.
-        Detection is two-phase so the steady state pays nothing: the
-        first recurrence of a signature *arms* a :class:`_LockRecorder`
-        that captures exactly one round richly (occupancy snapshots,
-        per-DOU stat deltas, comm predicate inputs); the next
-        recurrence compiles the capture into a :class:`_RoundPlan`
+        Detection is two-phase so the steady state pays nothing: a
+        signature that has recurred :data:`LOCKSTEP_ARM_RECURRENCES`
+        times in this window, with room left for
+        :data:`LOCKSTEP_ROOM_ROUNDS` rounds at its recurrence
+        interval, *arms* a :class:`_LockRecorder` (the cost gate: a
+        round that cannot recur enough never repays its recording and
+        ``compile()``) that captures exactly one round richly
+        (occupancy snapshots, per-DOU stat deltas, comm predicate
+        inputs); the next recurrence compiles the capture into a
+        :class:`_RoundPlan`
         whose replays (:meth:`_lock_replay`) settle whole
         producer/consumer exchange rounds per iteration - entry-
         validated by credit/counter equality and per-buffer occupancy
@@ -1475,7 +1498,9 @@ class CompiledEngine(Engine):
         runners = self._runners
         profile = self._profile
         lock_plans = self._lock_plans
-        sigs: dict = {}  # lockstep signature -> last tick seen
+        # lockstep signature -> (recurrences since last armed, tick
+        # last seen)
+        sigs: dict = {}
         armed = None     # _LockRecorder while capturing one round
         live = sum(not column.halted for column in columns)
         tick = start
@@ -1607,6 +1632,9 @@ class CompiledEngine(Engine):
                             armed = None
                             continue
                     elif lplan is None:
+                        count, seen = sigs.get(sig, (0, tick))
+                        if seen < tick:
+                            count += 1
                         if armed is not None:
                             if sig == armed.sig and tick > armed.start:
                                 built = _build_lock_plan(
@@ -1616,17 +1644,30 @@ class CompiledEngine(Engine):
                                 armed = None
                                 if built is not None:
                                     built, binds = built
+                                    profile["lockstep_built"] += 1
                                     if (len(lock_plans)
                                             > LOCKSTEP_PLAN_CAP):
                                         lock_plans.clear()
                                     lock_plans[sig] = built
                                     self._lock_share(sig, built, binds)
-                        elif sigs.get(sig, tick) < tick:
-                            armed = _LockRecorder(
-                                sig, tick, self._lock_buffers(),
-                                dous, credits,
-                            )
-                        sigs[sig] = tick
+                        elif seen < tick:
+                            # Cost gate: recording and compiling a
+                            # round pays only if the signature keeps
+                            # recurring and the window still holds
+                            # enough rounds to replay.
+                            if (count >= LOCKSTEP_ARM_RECURRENCES
+                                    and limit - tick
+                                    >= LOCKSTEP_ROOM_ROUNDS
+                                    * (tick - seen)):
+                                armed = _LockRecorder(
+                                    sig, tick, self._lock_buffers(),
+                                    dous, credits,
+                                )
+                                profile["lockstep_armed"] += 1
+                                count = 0
+                            else:
+                                profile["lockstep_declined"] += 1
+                        sigs[sig] = (count, tick)
                 if batch is not None:
                     if armed is not None:
                         g_occ = armed.occ()

@@ -30,8 +30,9 @@ transition and re-wake charges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -247,6 +248,22 @@ class PipelineScenario:
                 f"[0, frame_ticks)"
             )
 
+    def __getstate__(self) -> dict:
+        """Pickle only the declared fields (not cached properties).
+
+        The stage graph and word-flow scales are cached per instance
+        (the harness reads them on every epoch); keeping them out of
+        the pickle keeps the byte representation - and the content
+        hashes of ``repro.sim.batch`` - independent of whether they
+        have been read yet.  Equality and hashing already see only
+        the fields.
+        """
+        state = self.__dict__
+        return {field.name: state[field.name] for field in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+
     def _validate_graph(self) -> None:
         """Check the stage graph is a single-head, single-sink DAG."""
         preds = self.stage_predecessors
@@ -338,7 +355,7 @@ class PipelineScenario:
         """Per-stage tile cycles per input word, pipeline order."""
         return tuple(s.cycles_per_word for s in self.stages)
 
-    @property
+    @cached_property
     def stage_predecessors(self) -> tuple:
         """Per-stage producer indices (linear chain by default)."""
         if self.predecessors is not None:
@@ -347,7 +364,7 @@ class PipelineScenario:
             (stage - 1,) for stage in range(1, self.n_stages)
         )
 
-    @property
+    @cached_property
     def stage_successors(self) -> tuple:
         """Per-stage consumer indices, derived from the producers."""
         successors = [[] for _ in self.stages]
@@ -368,7 +385,7 @@ class PipelineScenario:
     # ------------------------------------------------------------------
     # word-flow scales
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def input_scales(self) -> tuple:
         """Words arriving at each stage per external head word.
 
@@ -388,7 +405,7 @@ class PipelineScenario:
             ))
         return tuple(scales)
 
-    @property
+    @cached_property
     def output_scales(self) -> tuple:
         """Words each stage produces per external head word."""
         return tuple(
@@ -396,7 +413,7 @@ class PipelineScenario:
             for scale, stage in zip(self.input_scales, self.stages)
         )
 
-    @property
+    @cached_property
     def exit_scale(self) -> Fraction:
         """Words leaving the pipe per external head word."""
         return self.output_scales[-1]

@@ -69,6 +69,16 @@ def test_complete_profile_block_passes():
     assert bench_compare.compare(fresh, _artifact({"fir": 3.0}), 0.2) == []
 
 
+def test_profile_with_lockstep_gate_counters_passes():
+    # The compiled engine's cost-gate counters are extra profile keys;
+    # the schema check and the comparison must accept them.
+    fresh = _artifact({"fir": 3.0})
+    fresh["workloads"]["fir"]["profile"] = _profile(
+        lockstep_armed=3, lockstep_built=2, lockstep_declined=41,
+    )
+    assert bench_compare.compare(fresh, _artifact({"fir": 3.0}), 0.2) == []
+
+
 def test_profile_missing_counters_fails_with_named_diff(capsys):
     fresh = _artifact({"fir": 3.0})
     profile = _profile()

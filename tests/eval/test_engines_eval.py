@@ -139,6 +139,23 @@ def test_profile_attaches_phase_attribution(tmp_path):
     json.dumps(payload)
 
 
+def test_render_profile_shows_lockstep_gate_counters():
+    evaluation = engines.evaluate_workload(
+        "ddc_pipeline", repeats=1, profile=True
+    )
+    profile = evaluation["profile"]
+    for key in ("lockstep_armed", "lockstep_built", "lockstep_declined"):
+        assert key in profile
+    header, _, row = engines.render_profile(
+        {"ddc_pipeline": evaluation}
+    ).splitlines()
+    assert header.split()[-3:] == ["armed", "built", "declined"]
+    assert row.split()[-3:] == [
+        str(profile["lockstep_armed"]), str(profile["lockstep_built"]),
+        str(profile["lockstep_declined"]),
+    ]
+
+
 def test_profile_registry_is_cleared_after_use():
     from repro.sim import engine as engine_module
 

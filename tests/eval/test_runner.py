@@ -1,7 +1,13 @@
 """Runner CLI behaviours."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.eval.runner import main, run_all, write_results
 
 
@@ -20,6 +26,28 @@ def test_write_results(tmp_path):
     written = write_results(outputs, str(tmp_path / "results"))
     assert len(written) == 1
     assert written[0].read_text().startswith("Table 1")
+
+
+def test_module_entry_point_runs_without_runpy_warning(tmp_path):
+    """``python -m repro.eval.runner`` must not pre-import itself.
+
+    An eager ``repro.eval`` -> ``runner`` import puts the module in
+    ``sys.modules`` before runpy executes it, which prints a
+    ``RuntimeWarning`` on every CLI invocation.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.eval.runner", "-e", "table1",
+         "-o", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_cli_single_experiment(capsys):

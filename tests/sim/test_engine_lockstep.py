@@ -17,7 +17,10 @@ tier:
   the window - still bit-identical;
 * a plan built by one engine is rebound through the shared
   cross-engine cache by a structurally identical fresh engine, which
-  must produce the same statistics without ever recording.
+  must produce the same statistics without ever recording;
+* the cost gate records a round only for a signature that recurs
+  often enough, with room enough left in the window, to repay the
+  recording and its ``compile()`` - and never delays a shared plan.
 
 Every case is differential against the reference engine.
 """
@@ -27,7 +30,10 @@ import pytest
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
-from repro.control import Governor, TransitionModel, run_governed
+from repro.control import (
+    Governor, StaticGovernor, TransitionModel, run_governed,
+)
+from repro.eval.engines import build_ddc_stream_chip
 from repro.isa.assembler import assemble
 from repro.sim import engine as engine_module
 from repro.sim.engine import CompiledEngine
@@ -252,3 +258,111 @@ def test_shared_plans_do_not_cross_structures(monkeypatch):
     other = CompiledEngine(build_streaming_pair(samples=80))
     assert other.run(max_ticks=100_000) == reference
     assert not probe_hits  # different fingerprint, no cross-hits
+
+
+# ----------------------------------------------------------------------
+# cost gate: record only what recurs often enough to amortise
+# ----------------------------------------------------------------------
+#: Reference ticks between recurrences of the streaming pair's steady
+#: signature: one producer iteration (ld, lsl, send) at divider 4.
+STREAM_ROUND_TICKS = 12
+
+
+def _gate_counters(engine) -> dict:
+    snapshot = engine.profile_snapshot()
+    return {
+        key: snapshot[key] for key in (
+            "lockstep_armed", "lockstep_built", "lockstep_declined",
+            "lockstep_batches",
+        )
+    }
+
+
+def test_gate_declines_signatures_recurring_below_threshold(monkeypatch):
+    """Windows too short for the threshold never record a round.
+
+    Each governed epoch spans ``LOCKSTEP_ARM_RECURRENCES`` rounds, so
+    a signature is sighted at most that many times per window - one
+    recurrence short of arming.  The gate declines every one, nothing
+    is recorded or compiled, and the dense path alone must still match
+    the reference engine bit for bit.
+    """
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
+    epoch = STREAM_ROUND_TICKS * engine_module.LOCKSTEP_ARM_RECURRENCES
+    governed = {}
+    for name in ("reference", "compiled"):
+        chip = build_streaming_pair()
+        engine = CompiledEngine(chip) if name == "compiled" else name
+        governed[name] = run_governed(
+            chip, StaticGovernor(), engine=engine, epoch_ticks=epoch,
+            max_ticks=100_000,
+        )
+    assert governed["compiled"].stats == governed["reference"].stats
+    assert governed["compiled"].timeline == governed["reference"].timeline
+    counters = _gate_counters(engine)
+    assert counters["lockstep_declined"] > 0
+    assert counters["lockstep_armed"] == 0
+    assert counters["lockstep_built"] == 0
+    assert counters["lockstep_batches"] == 0
+    assert not engine_module._SHARED_LOCK_PLANS
+
+
+def test_ddc_pipeline_still_engages_lockstep_cold(monkeypatch):
+    """The canonical lockstep workload clears the gate on its own.
+
+    With an empty shared cache the engine must record, build, and
+    replay its own rounds - the gate prices out the cold fuzz corpus's
+    short windows, not a long steady stream.
+    """
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
+    reference = Simulator(
+        build_ddc_stream_chip(), engine="reference"
+    ).run(max_ticks=1_000_000)
+    engine = CompiledEngine(build_ddc_stream_chip())
+    assert engine.run(max_ticks=1_000_000) == reference
+    counters = _gate_counters(engine)
+    assert counters["lockstep_built"] > 0
+    assert counters["lockstep_batches"] > 0
+
+
+def test_shared_plans_replay_at_first_sighting_past_the_gate(monkeypatch):
+    """A structurally identical engine never waits on the gate.
+
+    The shared cache is probed at a signature's first sighting, before
+    any recurrence is counted, so the second engine replays without
+    arming a single recording - and replays at least as many rounds as
+    the engine that had to earn its plans through the gate.
+    """
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
+    monkeypatch.setattr(engine_module, "_FP_INTERN", {})
+    reference = Simulator(
+        build_streaming_pair(), engine="reference"
+    ).run(max_ticks=100_000)
+    first = CompiledEngine(build_streaming_pair())
+    assert first.run(max_ticks=100_000) == reference
+    # The first engine earns its plans: early recurrences are
+    # declined, then a recording arms and builds.
+    earned = _gate_counters(first)
+    assert earned["lockstep_declined"] > 0
+    assert earned["lockstep_armed"] >= earned["lockstep_built"] > 0
+
+    probed = []
+    original_probe = CompiledEngine._lock_probe
+
+    def recording_probe(self, sig):
+        plan = original_probe(self, sig)
+        probed.append((sig, plan is not None))
+        return plan
+
+    monkeypatch.setattr(CompiledEngine, "_lock_probe", recording_probe)
+    second = CompiledEngine(build_streaming_pair())
+    assert second.run(max_ticks=100_000) == reference
+    hits = [sig for sig, hit in probed if hit]
+    assert hits
+    # Each hit was the signature's first probe, i.e. its first
+    # sighting: a local miss is remembered and never re-probed.
+    assert len({sig for sig, _ in probed}) == len(probed)
+    counters = _gate_counters(second)
+    assert counters["lockstep_armed"] == 0
+    assert counters["lockstep_built"] == 0
+    assert counters["lockstep_batches"] >= earned["lockstep_batches"] > 0

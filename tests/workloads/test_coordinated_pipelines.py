@@ -1,5 +1,7 @@
 """Multi-column pipeline scenarios under coordinated governance."""
 
+import pickle
+
 import pytest
 
 from repro.control.coordinator import CoordinatedGovernor
@@ -50,6 +52,19 @@ class TestScenarioShape:
         heavy = cycles.index(max(cycles))
         light = cycles.index(min(cycles))
         assert dividers[heavy] < dividers[light]
+
+    def test_word_flow_scales_are_cached_outside_pickles(self):
+        scenario = ddc_pipeline_scenario(frames=4)
+        blob = pickle.dumps(scenario)
+        assert scenario.exit_scale == scenario.output_scales[-1]
+        assert scenario.input_scales is scenario.input_scales
+        assert scenario.output_scales is scenario.output_scales
+        # Reading the cached properties changes neither the pickled
+        # bytes (batch content hashes) nor equality.
+        assert pickle.dumps(scenario) == blob
+        clone = pickle.loads(blob)
+        assert clone == scenario
+        assert clone.output_scales == scenario.output_scales
 
     def test_rejects_single_stage(self):
         with pytest.raises(ConfigurationError, match="two stages"):
