@@ -591,14 +591,16 @@ class ColumnRunner:
     """Pre-executes a column's compiled compute over future edges."""
 
     __slots__ = ("column", "ctrl", "program_len", "dispatch",
-                 "calls", "edges", "vector_batches",
+                 "traces", "calls", "edges", "vector_batches",
                  "vector_iterations")
 
-    def __init__(self, column, program_len, dispatch) -> None:
+    def __init__(self, column, program_len, dispatch, traces) -> None:
         self.column = column
         self.ctrl = column.controller
         self.program_len = program_len
         self.dispatch = dispatch
+        #: per-pc straight-line paths (see :func:`_compile_trace`)
+        self.traces = traces
         self.calls = 0
         self.edges = 0
         self.vector_batches = 0
@@ -627,16 +629,84 @@ class ColumnRunner:
         very next edge needs :meth:`Column.step_tile_clock`.
         """
         ctrl = self.ctrl
+        self.calls += 1
+        # No runner-executed edge fetches, stalls or halts, so these
+        # flags hold for the whole call.
+        if (ctrl._pending is not None or ctrl.halted
+                or ctrl._stall_pending):
+            return 0
         column = self.column
         dispatch = self.dispatch
         program_len = self.program_len
+        # Nor does one run TMASK: the SIMD mask is fixed for the call.
+        active = column.active_tiles()
+        pc = ctrl.pc
+        trace = self.traces[pc] if pc < program_len else None
+        if trace is not None and budget >= trace[0]:
+            # The whole call is one precompiled path once its dynamic
+            # tests pass; they are all decided by state no earlier
+            # step of the path changes, so they are checked up front
+            # and a miss leaves everything to the generic walk.
+            _need, edges, comm, light, steps = trace
+            ready = True
+            if comm is not None:
+                if comm[0]:
+                    for tile in active:
+                        buffer = tile.write_buffer
+                        if len(buffer._words) >= buffer.capacity:
+                            ready = False
+                            break
+                else:
+                    for tile in active:
+                        if not tile.read_buffer._words:
+                            ready = False
+                            break
+            if ready and light is not None:
+                stack = ctrl._loop_stack
+                ready = (bool(stack) and stack[-1][1] > 0
+                         and stack[-1][0] == light)
+            if ready:
+                for step in steps:
+                    kind = step[0]
+                    if kind == _RUN:
+                        fn = step[1]
+                        count = step[2]
+                        for tile in active:
+                            fn(tile)
+                        column.tile_cycles += count
+                        ctrl.pc += count
+                        ctrl.issued += count
+                    elif kind == _COMM:
+                        reg = step[2]
+                        column.tile_cycles += 1
+                        ctrl.pc += 1
+                        ctrl.issued += 1
+                        if step[1]:
+                            for tile in active:
+                                buffer = tile.write_buffer
+                                buffer._words.append(
+                                    tile.regs._values[reg]
+                                )
+                                buffer.total_pushed += 1
+                                tile.instructions_executed += 1
+                        else:
+                            for tile in active:
+                                buffer = tile.read_buffer
+                                buffer.total_popped += 1
+                                tile.regs._values[reg] = (
+                                    buffer._words.popleft()
+                                )
+                                tile.instructions_executed += 1
+                    else:  # zero-cost ENDLOOP, jumping back
+                        ctrl.control_executed += 1
+                        top = ctrl._loop_stack[-1]
+                        top[1] -= 1
+                        ctrl.pc = top[0]
+                self.edges += edges
+                return edges
         consumed = 0
         light_used = False
-        self.calls += 1
         while consumed < budget:
-            if (ctrl._pending is not None or ctrl.halted
-                    or ctrl._stall_pending):
-                break
             pc = ctrl.pc
             if pc >= program_len:
                 break  # the reference fetch records the halting bubble
@@ -648,7 +718,6 @@ class ColumnRunner:
                 instrs = entry[1]
                 count = budget - consumed
                 n = len(instrs)
-                active = column.active_tiles()
                 if n <= count:
                     fn = entry[2]
                     if fn is not None:
@@ -680,7 +749,6 @@ class ColumnRunner:
                 if consumed:
                     break  # a future edge cannot carry a comm effect
                 reg = entry[2]
-                active = column.active_tiles()
                 if entry[1]:  # SEND: every write buffer needs room
                     for tile in active:
                         buffer = tile.write_buffer
@@ -861,6 +929,28 @@ def compile_column_runner(column):
     if ctrl.zorm.enabled:
         return None
     instructions = ctrl._instructions
+    entry = _DISPATCH_CACHE.get(id(instructions))
+    if entry is None or entry[0] is not instructions:
+        if len(_DISPATCH_CACHE) >= _DISPATCH_CACHE_CAP:
+            _DISPATCH_CACHE.clear()
+        entry = (instructions, _compile_dispatch(instructions))
+        _DISPATCH_CACHE[id(instructions)] = entry
+    tables = entry[1]
+    if tables is None:
+        return None
+    return ColumnRunner(column, len(instructions), *tables)
+
+
+#: id(instruction tuple) -> (instruction tuple, (dispatch table,
+#: per-pc traces) or None).  Both depend on the program alone, and a
+#: harness that reuses one program across the chips it builds
+#: compiles it once; holding the tuple keeps its id from being reused.
+_DISPATCH_CACHE: dict = {}
+_DISPATCH_CACHE_CAP = 256
+
+
+def _compile_dispatch(instructions):
+    """``(dispatch table, per-pc traces)``, or None if nothing runs."""
     n = len(instructions)
     if n == 0:
         return None
@@ -933,7 +1023,62 @@ def compile_column_runner(column):
                 not ins.is_control
                 for ins in instructions[head + 1:pc]
             ):
-                dispatch[pc] = (_LIGHT_END,)
+                dispatch[pc] = (_LIGHT_END, head + 1)
     if not any(entry is not None for entry in dispatch):
         return None
-    return ColumnRunner(column, n, tuple(dispatch))
+    dispatch = tuple(dispatch)
+    return dispatch, tuple(
+        _compile_trace(dispatch, pc) for pc in range(n)
+    )
+
+
+def _compile_trace(dispatch, pc):
+    """The straight-line path ``run_edges`` takes from ``pc``, or None.
+
+    Walks the dispatch table as :meth:`ColumnRunner.run_edges` would
+    with an unbounded budget, assuming every dynamic test passes: the
+    leading SEND/RECV finds room or a word, and a zero-cost ENDLOOP
+    jumps back to its loop body.  Returns ``(need, edges, comm,
+    light, steps)``: the smallest budget that reaches the walk's
+    structural end, the edges it consumes, the ``(is_send, reg)`` of
+    its comm edge, the body start a jump-back must find on top of the
+    loop stack, and the effect steps in execution order.  Paths with
+    checked (faultable) compute blocks or compiled-loop control are
+    left to the generic walk (None).
+    """
+    n = len(dispatch)
+    steps = []
+    edges = need = 0
+    comm = light = None
+    while pc < n:
+        entry = dispatch[pc]
+        if entry is None:
+            break
+        kind = entry[0]
+        if kind == _RUN:
+            if entry[2] is None or entry[3] is not None:
+                return None
+            count = len(entry[1])
+            steps.append((_RUN, entry[2], count))
+            edges += count
+            need = edges
+            pc += count
+        elif kind == _COMM:
+            if edges:
+                break
+            comm = (entry[1], entry[2])
+            steps.append((_COMM, entry[1], entry[2]))
+            edges = need = 1
+            pc += 1
+        elif kind == _LIGHT_END:
+            if light is not None:
+                break
+            light = entry[1]
+            steps.append((_LIGHT_END,))
+            need = edges + 1
+            pc = light
+        else:
+            return None
+    if not edges:
+        return None
+    return need, edges, comm, light, tuple(steps)

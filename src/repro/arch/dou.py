@@ -265,6 +265,8 @@ class Dou:
         self.span_words = 0.0    # sum of per-retire bus-span fractions
         self.cycles = 0
         self.blocked_cycles = 0
+        #: cycles run by the generic interpreter (the plans' fallback)
+        self.interpreted_cycles = 0
 
     @property
     def state(self) -> DouState:
@@ -477,12 +479,12 @@ class Dou:
     def step(self) -> int:
         """Run one bus cycle; returns the number of words delivered.
 
-        Dispatches to the compiled per-state plan when one exists and
-        its occupancy preconditions hold (the steady state of a static
-        schedule); anything else - blocked transfers, partial
-        starvation, strict-mode errors, statically ineligible states -
-        falls through to the generic interpreter, keeping every
-        counter byte-for-byte identical to the uncompiled machine.
+        Dispatches to the compiled per-state plan when one exists:
+        a full transfer, a pure stall, or a permissive backpressure
+        walk.  Anything else - partial starvation, strict-mode errors,
+        statically ineligible states - falls through to the generic
+        interpreter, keeping every counter byte-for-byte identical to
+        the uncompiled machine.
         """
         plan = self._plans[self.state_index]
         if plan is None:
@@ -505,6 +507,10 @@ class Dou:
                 return 0
         for words, room in plan.room_checks:
             if len(words) > room:
+                # Every source holds a word (and, with captures, the
+                # state drives): starve_ok here just means permissive.
+                if plan.starve_ok:
+                    return self._step_backpressure(plan)
                 return self._step_generic()
         # Steady state: the full transfer, as a tuple walk.  Captures
         # push before drives pop, mirroring the interpreter's order.
@@ -537,6 +543,53 @@ class Dou:
             self._advance_compiled(plan, counter)
         return moved
 
+    def _step_backpressure(self, plan) -> int:
+        """A permissive cycle with every source loaded, some room short.
+
+        Replays the interpreter exactly: captures land in order while
+        their destination has room (checked sequentially, so two
+        captures into one buffer behave alike), each taking its
+        source's head word; a drive with any delivered capture then
+        pops and charges the widest delivered span once, in drive
+        order.  Every drive still charges the bus.
+        """
+        self.cycles += 1
+        sources = plan.sources
+        widest = [0.0] * plan.n_drives
+        moved = 0
+        for dest_words, dest_buffer, capacity, drive, span in (
+            plan.backpressure
+        ):
+            if len(dest_words) < capacity:
+                dest_words.append(sources[drive][0])
+                dest_buffer.total_pushed += 1
+                moved += 1
+                if span > widest[drive]:
+                    widest[drive] = span
+        if moved:
+            total = self.span_words
+            retired = 0
+            for (src_words, src_buffer), span in zip(plan.drains, widest):
+                if span:
+                    src_words.popleft()
+                    src_buffer.total_popped += 1
+                    total += span
+                    retired += 1
+            self.span_words = total
+            self.words_retired += retired
+            self.words_moved += moved
+        else:
+            self.blocked_cycles += 1
+        bus = self.bus
+        bus.words_moved += plan.n_drives
+        bus.cycles_with_traffic += 1
+        counter = plan.counter
+        if counter is None:
+            self.state_index = plan.next_otherwise
+        else:
+            self._advance_compiled(plan, counter)
+        return moved
+
     def _advance_compiled(self, plan, counter: int) -> None:
         """Counter-testing transition of the compiled fast path."""
         counters = self.counters
@@ -550,6 +603,7 @@ class Dou:
     def _step_generic(self) -> int:
         """The reference interpreter for one bus cycle."""
         self.cycles += 1
+        self.interpreted_cycles += 1
         state = self.state
         self.bus.configure(state.closed)
 

@@ -26,9 +26,15 @@ whenever the plan's occupancy preconditions hold:
 States failing any test keep ``None`` and always run the generic
 interpreter, which preserves their error behavior exactly.  Eligible
 states still fall back to the interpreter whenever a precondition
-fails at run time (some-but-not-all sources empty, destination
-nearly full, strict-mode underflow/overflow), so blocked and error
-cases stay byte-for-byte identical to the uncompiled machine.
+fails at run time (some-but-not-all sources empty, strict-mode
+underflow/overflow), so those cases stay byte-for-byte identical to
+the uncompiled machine.  Permissive backpressure - every source holds
+a word but some destination lacks room - is ordinary protocol traffic
+for a static schedule and runs the plan's ``backpressure`` walk.
+
+Plan paths never call ``SegmentedBus.configure``: the bus's switch
+state is left as the last interpreted cycle set it, since only the
+interpreter reads it.
 """
 
 from __future__ import annotations
@@ -52,25 +58,31 @@ class StatePlan:
     generic interpreter's push-then-pop order.  ``blocks`` groups each
     drive's source deque with the (deque, capacity) of every capture it
     feeds - the structure the no-progress orbit check walks to decide
-    whether any word could move this cycle.
+    whether any word could move this cycle.  ``backpressure`` holds,
+    per capture in ``state.captures`` order, ``(dest deque, dest
+    buffer, capacity, feeding drive index, span)`` - the walk of a
+    permissive cycle whose sources all hold a word but whose
+    destinations do not all have room.
     """
 
     __slots__ = (
-        "sources", "drains", "room_checks", "captures",
+        "sources", "drains", "room_checks", "captures", "backpressure",
         "n_drives", "n_captures", "spans", "blocks", "starve_ok",
         "stall_batchable", "counter", "counter_reset",
         "next_if_zero", "next_otherwise",
     )
 
     def __init__(
-        self, sources, drains, room_checks, captures, n_drives,
-        n_captures, spans, blocks, starve_ok, stall_batchable,
-        counter, counter_reset, next_if_zero, next_otherwise,
+        self, sources, drains, room_checks, captures, backpressure,
+        n_drives, n_captures, spans, blocks, starve_ok,
+        stall_batchable, counter, counter_reset, next_if_zero,
+        next_otherwise,
     ) -> None:
         self.sources = sources
         self.drains = drains
         self.room_checks = room_checks
         self.captures = captures
+        self.backpressure = backpressure
         self.n_drives = n_drives
         self.n_captures = n_captures
         self.spans = spans
@@ -103,6 +115,10 @@ def _compile_state(
     for position, _ in tuple(state.drives) + tuple(state.captures):
         if not 0 <= position < bus.n_positions:
             return None
+    if len(set(state.captures)) != len(state.captures):
+        # The interpreter's bus resolve delivers a repeated capture
+        # once; keep its semantics the reference.
+        return None
 
     closed = state.closed
     # (split, segment) -> drive index; the fast path requires the
@@ -126,6 +142,7 @@ def _compile_state(
         source_buffers.append((position, buffer))
 
     captures = []
+    backpressure = []
     room_needed: dict = {}
     drive_destinations: dict = {}
     for position, split in state.captures:
@@ -138,6 +155,10 @@ def _compile_state(
             return None  # undriven capture: strict raises, permissive skips
         src_position, src_buffer = source_buffers[drive_index]
         captures.append((buffer._words, buffer, src_buffer._words))
+        backpressure.append((
+            buffer._words, buffer, buffer.capacity, drive_index,
+            (abs(position - src_position) + 1) / bus.n_positions,
+        ))
         room_needed[id(buffer)] = (
             buffer, room_needed.get(id(buffer), (buffer, 0))[1] + 1
         )
@@ -168,6 +189,7 @@ def _compile_state(
             for buffer, count in room_needed.values()
         ),
         captures=tuple(captures),
+        backpressure=tuple(backpressure),
         n_drives=len(source_buffers),
         n_captures=len(captures),
         spans=spans,

@@ -441,6 +441,7 @@ _PROFILE_COLUMNS = (
     ("dense", "dense_ticks"),
     ("parked", "parked_edges"),
     ("runs", "runner_calls"),
+    ("interp", "dou_interpreted_cycles"),
     ("armed", "lockstep_armed"),
     ("built", "lockstep_built"),
     ("declined", "lockstep_declined"),

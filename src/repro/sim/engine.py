@@ -963,23 +963,28 @@ def _emit_round(
     lines.extend("        " + line for line in body)
     lines.append("    return _round")
     source = "\n".join(lines)
-    code = _ROUND_CODE_CACHE.get(source)
-    if code is None:
-        if len(_ROUND_CODE_CACHE) >= LOCKSTEP_PLAN_CAP:
-            _ROUND_CODE_CACHE.clear()
-        code = compile(source, "<lockstep-round>", "exec")
-        _ROUND_CODE_CACHE[source] = code
-    namespace = {}
-    exec(code, namespace)
-    return namespace["_make"](binds), source, binds
+    return _round_maker(source)(binds), source, binds
 
 
-# Compiled round code objects, keyed by their generated source.  The
-# emitter's bind names are assigned in deterministic discovery order,
-# so re-simulating the same chip structure (fresh engine, fresh
-# machine objects) regenerates byte-identical source and skips the
-# ``compile()`` - only the cheap closure rebind runs.
-_ROUND_CODE_CACHE: dict = {}
+def _round_maker(source: str):
+    """The ``_make(binds)`` factory of a generated round source."""
+    make = _ROUND_MAKERS.get(source)
+    if make is None:
+        if len(_ROUND_MAKERS) >= LOCKSTEP_PLAN_CAP:
+            _ROUND_MAKERS.clear()
+        namespace = {}
+        exec(compile(source, "<lockstep-round>", "exec"), namespace)
+        make = namespace["_make"]
+        _ROUND_MAKERS[source] = make
+    return make
+
+
+# Round factories, keyed by their generated source.  The emitter's
+# bind names are assigned in deterministic discovery order, so
+# re-simulating the same chip structure (fresh engine, fresh machine
+# objects) regenerates byte-identical source and skips the
+# ``compile()`` and module ``exec`` - only the closure rebind runs.
+_ROUND_MAKERS: dict = {}
 
 # Whole lockstep plans shared across engine instances, keyed by
 # ``(fingerprint, signature)`` and holding ``(source, paths, adds,
@@ -999,6 +1004,22 @@ _SHARED_LOCK_CAP = 1024
 # Structural fingerprints interned to small ints so shared-cache keys
 # stay cheap to hash.
 _FP_INTERN: dict = {}
+
+# id(program) -> (program, repr(program)).  Programs are immutable and
+# harnesses reuse one object across the chips they build, so each is
+# rendered once; holding the program keeps its id from being reused.
+_PROGRAM_TEXT: dict = {}
+
+
+def _program_text(program) -> str:
+    """``repr(program)``, memoized per program object."""
+    entry = _PROGRAM_TEXT.get(id(program))
+    if entry is None or entry[0] is not program:
+        if len(_PROGRAM_TEXT) >= _SHARED_LOCK_CAP:
+            _PROGRAM_TEXT.clear()
+        entry = (program, repr(program))
+        _PROGRAM_TEXT[id(program)] = entry
+    return entry[1]
 
 # Local plan-cache marker for a signature already probed against the
 # shared cache and missed.  Signatures recur many times before a
@@ -1071,6 +1092,9 @@ class CompiledEngine(Engine):
             compile_column_runner(column) for column in chip.columns
         )
         self._credits = [0] * len(chip.columns)
+        self._controllers = tuple(
+            column.controller for column in chip.columns
+        )
         #: lockstep signature -> validated _RoundPlan.  Keyed on the
         #: full round anchor (divider tuple included), so a governor
         #: retuning the clock tree gets a fresh plan per operating
@@ -1086,6 +1110,10 @@ class CompiledEngine(Engine):
         #: highest tick any window has reached; a chip observed below
         #: it again means the run restarted under this engine.
         self._profile_mark = 0
+        #: the DOUs' interpreter-cycle total when this engine's
+        #: profile last started (DOUs belong to the chip and may
+        #: outlive one engine).
+        self._interpreted_mark = self._interpreted_cycles()
         #: wall-clock attribution is collected only when
         #: ``profile_enabled`` is set; the event counters are always
         #: maintained (they sit off the per-tick hot path).
@@ -1141,7 +1169,9 @@ class CompiledEngine(Engine):
         are populated only when :attr:`profile_enabled` was set before
         the run; counter keys are always exact.  The runner aggregate
         folds in every column's pre-execution statistics (calls, edges
-        consumed, vectorized batches).
+        consumed, vectorized batches); ``dou_interpreted_cycles``
+        counts the DOU cycles that fell back to the generic
+        interpreter since the profile started.
         """
         data = self.metrics.snapshot()
         calls = edges = batches = iterations = 0
@@ -1156,7 +1186,13 @@ class CompiledEngine(Engine):
         data["runner_edges"] = edges
         data["vector_batches"] = batches
         data["vector_iterations"] = iterations
+        data["dou_interpreted_cycles"] = (
+            self._interpreted_cycles() - self._interpreted_mark
+        )
         return data
+
+    def _interpreted_cycles(self) -> int:
+        return sum(dou.interpreted_cycles for dou in self._all_dous)
 
     def reset_profile(self) -> None:
         """Zero phase timings and event counters for a fresh run.
@@ -1182,6 +1218,7 @@ class CompiledEngine(Engine):
             runner.vector_batches = 0
             runner.vector_iterations = 0
         self._profile_mark = self.chip.reference_ticks
+        self._interpreted_mark = self._interpreted_cycles()
 
     def _refresh_demotable(self) -> None:
         self._demotable = any(
@@ -1976,10 +2013,12 @@ class CompiledEngine(Engine):
             key = (
                 tuple(
                     (len(column.tiles),
-                     repr(column.controller.program))
+                     _program_text(column.controller.program))
                     for column in self.chip.columns
                 ),
-                tuple(repr(dou.program) for dou in self._all_dous),
+                tuple(
+                    _program_text(dou.program) for dou in self._all_dous
+                ),
                 caps,
             )
             fp = _FP_INTERN.get(key)
@@ -2064,16 +2103,8 @@ class CompiledEngine(Engine):
         except (IndexError, TypeError):
             del _SHARED_LOCK_PLANS[key]
             return None
-        code = _ROUND_CODE_CACHE.get(source)
-        if code is None:
-            if len(_ROUND_CODE_CACHE) >= LOCKSTEP_PLAN_CAP:
-                _ROUND_CODE_CACHE.clear()
-            code = compile(source, "<lockstep-round>", "exec")
-            _ROUND_CODE_CACHE[source] = code
-        namespace = {}
-        exec(code, namespace)
         plan = _RoundPlan(
-            period, namespace["_make"](binds), adds, source,
+            period, _round_maker(source)(binds), adds, source,
         )
         plan.gkey = key
         return plan
@@ -2086,22 +2117,20 @@ class CompiledEngine(Engine):
         whose *behaviour* repeats.  Everything excluded here is instead
         revalidated live, per operation, during replay.
         """
-        cols = []
-        append = cols.append
-        for column in self.chip.columns:
-            ctrl = column.controller
-            append((
-                ctrl.halted, ctrl.pc, ctrl.mask,
-                ctrl._pending is not None, ctrl._stall_pending,
-                tuple([frame[0] for frame in ctrl._loop_stack]),
-            ))
         dous = self._all_dous
         stepped = self._stepped
         return (
             tick % period, self.chip.clock.dividers,
             tuple(stepped), tuple(self._credits),
             tuple([dous[i].state_index for i in stepped]),
-            tuple(cols),
+            tuple([
+                (
+                    ctrl.halted, ctrl.pc, ctrl.mask,
+                    ctrl._pending is not None, ctrl._stall_pending,
+                    tuple([frame[0] for frame in ctrl._loop_stack]),
+                )
+                for ctrl in self._controllers
+            ]),
         )
 
     def _lock_replay(self, plan, tick, limit, credits, profile):

@@ -157,25 +157,8 @@ class BurstyScenario:
     def build_chip(self, divider: int | None = None) -> Chip:
         """A one-column streaming worker chip for this scenario."""
         start = divider if divider is not None else self.static_divider()
-        work = "\n".join(
-            "  addi r2, r2, 1" for _ in range(self.work_per_word)
-        )
-        program = assemble(f"""
-            tmask 0x1            ; tile 0 is the stream worker
-            movi r2, 0
-            loop {self.total_words}
-              recv r1
-{work}
-              send r1
-            endloop
-            halt
-        """, f"{self.key}-worker")
-        dou = compile_schedule(
-            [
-                [Transfer(src=PORT_POSITION, dsts=(0,))],
-                [Transfer(src=0, dsts=(PORT_POSITION,))],
-            ],
-            name=f"{self.key}-stream",
+        program, dou = _worker_programs(
+            self.key, self.total_words, self.work_per_word
         )
         config = ChipConfig(
             reference_mhz=self.reference_mhz,
@@ -184,6 +167,44 @@ class BurstyScenario:
             strict_schedules=False,
         )
         return Chip(config, programs=[program], dou_programs=[dou])
+
+
+#: (key, total_words, work_per_word) -> (worker Program, stream
+#: DouProgram).  Both are immutable once built, and every chip of a
+#: scenario runs the same pair, so repeated runs skip re-assembling.
+_WORKER_PROGRAMS: dict = {}
+
+
+def _worker_programs(key: str, total_words: int, work_per_word: int):
+    """The streaming worker's column and DOU programs (cached)."""
+    cache_key = (key, total_words, work_per_word)
+    programs = _WORKER_PROGRAMS.get(cache_key)
+    if programs is None:
+        work = "\n".join(
+            "  addi r2, r2, 1" for _ in range(work_per_word)
+        )
+        program = assemble(f"""
+            tmask 0x1            ; tile 0 is the stream worker
+            movi r2, 0
+            loop {total_words}
+              recv r1
+{work}
+              send r1
+            endloop
+            halt
+        """, f"{key}-worker")
+        dou = compile_schedule(
+            [
+                [Transfer(src=PORT_POSITION, dsts=(0,))],
+                [Transfer(src=0, dsts=(PORT_POSITION,))],
+            ],
+            name=f"{key}-stream",
+        )
+        programs = (program, dou)
+        if len(_WORKER_PROGRAMS) >= 64:
+            _WORKER_PROGRAMS.clear()
+        _WORKER_PROGRAMS[cache_key] = programs
+    return programs
 
 
 def _mcs_loads(frames: int, seed: int) -> tuple:
@@ -381,17 +402,20 @@ class _ScenarioHarness:
     def deadline_misses(self) -> int:
         """Frames whose words were not all out by their deadline."""
         scenario = self.scenario
+        samples = self.samples  # taken at non-decreasing ticks
         misses = 0
         due = 0
+        produced_by_deadline = 0
+        cursor = 0
         for index, words in enumerate(scenario.frame_loads):
             due += words
             deadline = (index + 1) * scenario.frame_ticks
-            produced_by_deadline = 0
-            for tick, produced in self.samples:
-                if tick <= deadline:
-                    produced_by_deadline = max(
-                        produced_by_deadline, produced
-                    )
+            while cursor < len(samples) \
+                    and samples[cursor][0] <= deadline:
+                produced_by_deadline = max(
+                    produced_by_deadline, samples[cursor][1]
+                )
+                cursor += 1
             if produced_by_deadline < due:
                 misses += 1
         return misses

@@ -91,6 +91,22 @@ def test_structural_hazard_state_stays_interpreted():
         dou.step()
 
 
+def test_repeated_capture_state_stays_interpreted():
+    # The interpreter's bus resolve delivers a repeated (position,
+    # split) capture once; a plan would push the word twice.
+    state = DouState(
+        closed=frozenset({(0, 0)}),
+        drives=((0, 0),),
+        captures=((1, 0), (1, 0)),
+    )
+    dou, writes, reads = _rig(DouProgram(states=(state,)), strict=False)
+    assert dou._plans[0] is None
+    writes[0].push(7)
+    assert dou.step() == 1
+    assert dou.words_moved == 1 and dou.bus.words_moved == 1
+    assert list(reads[1]._words) == [7]
+
+
 def test_missing_port_state_stays_interpreted():
     program = DouProgram(states=(_transfer_state(),))
     bus = SegmentedBus("bus", n_positions=5, n_splits=8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.column_exec import compile_column_runner
 from repro.errors import ConfigurationError
 from repro.workloads.dvfs import (
     BurstyScenario,
@@ -47,6 +48,18 @@ class TestScenarioShape:
             assert wlan.frame_ticks / slower[0] \
                 < wlan.provision_guard * wlan.peak_words \
                 * wlan.cycles_per_word
+
+    def test_chips_share_programs_and_runner_tables(self, wlan, mpeg4):
+        first, second = wlan.build_chip(), wlan.build_chip()
+        assert (first.columns[0].controller.program
+                is second.columns[0].controller.program)
+        assert first.columns[0].dou.program is second.columns[0].dou.program
+        # The runner's dispatch table is compiled once per program ...
+        table = compile_column_runner(first.columns[0]).dispatch
+        assert compile_column_runner(second.columns[0]).dispatch is table
+        # ... and never handed to a different program.
+        other = compile_column_runner(mpeg4.build_chip().columns[0])
+        assert other.dispatch is not table
 
     def test_epoch_and_frame_alignment_is_validated(self):
         with pytest.raises(ConfigurationError, match="multiple"):

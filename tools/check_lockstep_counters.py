@@ -14,6 +14,12 @@ to drive it.
 the orbit batcher, the lockstep compiler, and the comm-headed run
 fusion all active even at smoke sizes.
 
+A second table names counters that must be exactly zero: a DOU cycle
+that fell back to the generic interpreter on ``governed_burst``
+(whose backpressure cycles the compiled plans cover) means a plan
+stopped covering that traffic.  A counter missing from the profile
+fails in both tables rather than reading as zero.
+
 Usage::
 
     python tools/check_lockstep_counters.py BENCH_engine.json
@@ -35,39 +41,70 @@ REQUIRED_COUNTERS = {
     ),
 }
 
+# workload -> profile counters that must be exactly zero there.
+REQUIRED_ZERO_COUNTERS = {
+    "governed_burst": (
+        "dou_interpreted_cycles",
+    ),
+}
+
+
+def _profile(workloads: dict, key: str, failures: list):
+    entry = workloads.get(key)
+    if entry is None:
+        failures.append(f"workload {key!r} missing from artifact")
+        return None
+    profile = entry.get("profile")
+    if not isinstance(profile, dict):
+        failures.append(
+            f"{key}: no profile attached - run the bench with "
+            f"--profile"
+        )
+        return None
+    return profile
+
+
+# (table, passes(value), status label, failure reason) per table.
+_EXPECTATIONS = (
+    (REQUIRED_COUNTERS, lambda value: value > 0, "NOT ENGAGED",
+     "the tier never engaged"),
+    (REQUIRED_ZERO_COUNTERS, lambda value: value == 0, "NOT ZERO",
+     "it must be 0"),
+)
+
 
 def check(payload: dict) -> list:
     """Returns a list of failure strings (empty = pass)."""
     failures = []
     workloads = payload.get("workloads", {})
-    for key, counters in REQUIRED_COUNTERS.items():
-        entry = workloads.get(key)
-        if entry is None:
-            failures.append(f"workload {key!r} missing from artifact")
-            continue
-        profile = entry.get("profile")
-        if not isinstance(profile, dict):
-            failures.append(
-                f"{key}: no profile attached - run the bench with "
-                f"--profile"
-            )
-            continue
-        for counter in counters:
-            value = profile.get(counter, 0)
-            status = "ok" if value > 0 else "NOT ENGAGED"
-            print(f"{key:<16} {counter:<20} {value:>8}  {status}")
-            if value <= 0:
-                failures.append(
-                    f"{key}: {counter} is {value} - the tier never "
-                    f"engaged"
-                )
+    for table, passes, label, reason in _EXPECTATIONS:
+        for key, counters in table.items():
+            profile = _profile(workloads, key, failures)
+            if profile is None:
+                continue
+            for counter in counters:
+                if counter not in profile:
+                    print(f"{key:<16} {counter:<24} {'-':>8}  MISSING")
+                    failures.append(
+                        f"{key}: {counter} missing from the profile"
+                    )
+                    continue
+                value = profile[counter]
+                ok = passes(value)
+                status = "ok" if ok else label
+                print(f"{key:<16} {counter:<24} {value:>8}  {status}")
+                if not ok:
+                    failures.append(
+                        f"{key}: {counter} is {value} - {reason}"
+                    )
     return failures
 
 
 def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fail when a compiled-engine striding tier did "
-                    "not engage in a profiled benchmark artifact."
+                    "not engage, or a must-be-zero counter is not "
+                    "zero, in a profiled benchmark artifact."
     )
     parser.add_argument(
         "artifact", metavar="BENCH_ENGINE_JSON",
@@ -87,7 +124,7 @@ def main(argv: list | None = None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("all watched striding counters engaged")
+    print("all watched striding counters engaged; zero counters zero")
     return 0
 
 
