@@ -27,7 +27,9 @@ layer (:mod:`repro.control.epochs`) builds on: each epoch retunes the
 clock tree at a hyperperiod boundary and advances one window.  The
 compiled engine recompiles its activity plan per divider tuple behind
 a cache, so a governor revisiting an operating point pays for its
-edge schedule once.
+edge schedule once.  Its lockstep-round tier runs only in
+run-to-completion :meth:`~CompiledEngine.run` windows: an epoch is
+too short to repay a round's signatures and ``compile()``.
 
 Engines only require the :class:`~repro.arch.chip.Chip` duck type:
 ``columns``, ``clock``, ``horizontal_dou``, ``all_halted``,
@@ -37,6 +39,7 @@ Engines only require the :class:`~repro.arch.chip.Chip` duck type:
 
 from __future__ import annotations
 
+import itertools
 from time import perf_counter
 from typing import Callable
 
@@ -224,7 +227,7 @@ class _ClockPlan:
 #: never detected, which only costs the optimization).
 LOCKSTEP_REC_CAP = 512
 
-#: Recurrences of a safepoint signature, inside one stride window,
+#: Recurrences of a safepoint signature, inside one ``run()`` window,
 #: before a lockstep recording is armed for it.  Recording taxes every
 #: tick of one round and the round's ``compile()`` costs far more than
 #: a few rounds of dense stepping, so a signature that recurs only a
@@ -1002,8 +1005,19 @@ _SHARED_LOCK_PLANS: dict = {}
 _SHARED_LOCK_CAP = 1024
 
 # Structural fingerprints interned to small ints so shared-cache keys
-# stay cheap to hash.
+# stay cheap to hash.  Ids come from a monotonic counter, never from
+# the table's size: the table is cleared together with the plans at
+# ``_SHARED_LOCK_CAP``, and a reissued id would let a live engine's
+# cached fingerprint alias a different structure's plans.
 _FP_INTERN: dict = {}
+_FP_IDS = itertools.count()
+
+
+def _clear_shared_plans() -> None:
+    """Evict every shared plan and interned fingerprint."""
+    _SHARED_LOCK_PLANS.clear()
+    _FP_INTERN.clear()
+
 
 # id(program) -> (program, repr(program)).  Programs are immutable and
 # harnesses reuse one object across the chips they build, so each is
@@ -1268,7 +1282,7 @@ class CompiledEngine(Engine):
             # the run restarted (rewound/rebuilt chip under a reused
             # engine).  Stale counters would double-count the old run.
             self.reset_profile()
-        end = self._stride_window(start + ticks)
+        end = self._stride_window(start + ticks, lockstep=False)
         self._profile_mark = end
         return end - start
 
@@ -1286,7 +1300,7 @@ class CompiledEngine(Engine):
         start = self.chip.reference_ticks
         if start < self._profile_mark:
             self.reset_profile()
-        end = self._stride_window(start + max_ticks)
+        end = self._stride_window(start + max_ticks, lockstep=True)
         # The reference loop spends one budget iteration *observing*
         # all_halted after the final step, so a chip halting on the
         # very last tick in budget still exhausts it.
@@ -1303,13 +1317,16 @@ class CompiledEngine(Engine):
     #: minimum, so tiny hyperperiods do not check every tick).
     DEMOTION_CHECK_TICKS = 64
 
-    def _stride_window(self, limit: int) -> int:
+    def _stride_window(self, limit: int, lockstep: bool) -> int:
         """Advance from the current tick to at most ``limit``.
 
         Stops early the moment every column has halted (at the same
         tick the reference loop would observe ``all_halted``), settles
         the skipped arithmetic for the window, and returns the end
-        tick.
+        tick.  ``lockstep`` enables lockstep-round safepoints in the
+        dense loop: :meth:`run` windows run to completion and can
+        repay a round, :meth:`advance` windows (one governor epoch)
+        are too short to.
         """
         chip = self.chip
         start = chip.reference_ticks
@@ -1329,7 +1346,7 @@ class CompiledEngine(Engine):
         profiling = self.profile_enabled
         mark = perf_counter() if profiling else 0.0
         if self._stepped:
-            end = self._dense_until(start, limit)
+            end = self._dense_until(start, limit, lockstep)
             phase = "dense_s"
         else:
             end = self._sparse_until(start, limit)
@@ -1470,7 +1487,9 @@ class CompiledEngine(Engine):
             return last_halt + 1 if last_halt >= 0 else start
         return limit
 
-    def _dense_until(self, start: int, limit: int) -> int:
+    def _dense_until(
+        self, start: int, limit: int, lockstep: bool,
+    ) -> int:
         """Some DOU moves data: walk the compiled hyperperiod trace.
 
         The loop runs in segments.  A gated or unaligned prefix pays
@@ -1498,7 +1517,8 @@ class CompiledEngine(Engine):
         when the last stepped DOU demotes, the window degrades to the
         sparse per-column loop.
 
-        On top of both, the loop hunts for a recurring **lockstep
+        On top of both, when ``lockstep`` is set (run-to-completion
+        windows only), the loop hunts for a recurring **lockstep
         round**: the same anchor signature (column pcs, pending/loop
         structure, credits, DOU states, hyperperiod phase) seen at two
         batch-event safepoints a whole number of hyperperiods apart.
@@ -1622,7 +1642,7 @@ class CompiledEngine(Engine):
                         batch.append(effects)
                 else:
                     batch = None
-                if batch is not None or offset == 0:
+                if lockstep and (batch is not None or offset == 0):
                     # Lockstep safepoint: replay a cached round for
                     # this anchor, compile one from an armed capture,
                     # or arm a capture on a recurring signature.
@@ -2023,7 +2043,9 @@ class CompiledEngine(Engine):
             )
             fp = _FP_INTERN.get(key)
             if fp is None:
-                fp = len(_FP_INTERN)
+                if len(_FP_INTERN) >= _SHARED_LOCK_CAP:
+                    _clear_shared_plans()
+                fp = next(_FP_IDS)
                 _FP_INTERN[key] = fp
             self._lock_fp = fp
         return fp
@@ -2084,7 +2106,7 @@ class CompiledEngine(Engine):
                 return  # an unmapped bind: keep the plan engine-local
             paths.append(path)
         if len(_SHARED_LOCK_PLANS) >= _SHARED_LOCK_CAP:
-            _SHARED_LOCK_PLANS.clear()
+            _clear_shared_plans()
         key = (self._lock_fingerprint(), sig)
         _SHARED_LOCK_PLANS[key] = (
             plan.source, tuple(paths), plan.adds, plan.period,

@@ -30,6 +30,32 @@ def test_zero_table_watches_interpreter_on_governed_burst():
         check_counters.REQUIRED_ZERO_COUNTERS["governed_burst"]
 
 
+def test_zero_table_watches_lockstep_on_governed_burst():
+    zero = check_counters.REQUIRED_ZERO_COUNTERS["governed_burst"]
+    for counter in (
+        "lockstep_armed", "lockstep_built", "lockstep_declined",
+        "lockstep_batches",
+    ):
+        assert counter in zero
+    # The run-to-completion probe keeps its positive row.
+    assert "lockstep_batches" in \
+        check_counters.REQUIRED_COUNTERS["ddc_pipeline"]
+
+
+def test_governed_lockstep_engagement_fails():
+    # A governed burst whose epochs take lockstep safepoints reads
+    # about 152 batches and 7 declines at smoke size: both must fail,
+    # each reported on its own.
+    payload = _payload()
+    profile = payload["workloads"]["governed_burst"]["profile"]
+    profile["lockstep_batches"] = 152
+    profile["lockstep_declined"] = 7
+    failures = check_counters.check(payload)
+    assert len(failures) == 2
+    assert any("lockstep_batches is 152" in f for f in failures)
+    assert any("lockstep_declined is 7" in f for f in failures)
+
+
 def test_clean_artifact_passes():
     assert check_counters.check(_payload()) == []
 

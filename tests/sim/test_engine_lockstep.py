@@ -9,9 +9,10 @@ tier:
 
 * steady periodic streaming must actually engage rounds (counter
   assertions - a silent fall-back to dense ticking is a failure);
-* a governor retuning the divider tuple every epoch invalidates and
-  rebuilds plans across tuples, mid-lap, without breaking the
-  bit-identical contract;
+* rounds are confined to run-to-completion windows: governed epoch
+  windows (``advance``) never take a safepoint, so a governor
+  retuning every epoch stays bit-identical without any round, and
+  the shared cache is left untouched;
 * tiny buffer capacities force backpressure mid-orbit, so recorded
   rounds abort on their occupancy checks and the dense path finishes
   the window - still bit-identical;
@@ -20,7 +21,9 @@ tier:
   must produce the same statistics without ever recording;
 * the cost gate records a round only for a signature that recurs
   often enough, with room enough left in the window, to repay the
-  recording and its ``compile()`` - and never delays a shared plan.
+  recording and its ``compile()`` - and never delays a shared plan;
+* evicting the shared cache never lets an engine's cached structural
+  fingerprint alias a different structure's plans.
 
 Every case is differential against the reference engine.
 """
@@ -111,6 +114,18 @@ class EveryEpochToggler(Governor):
         ]
 
 
+#: Lockstep cost-gate and replay counters in ``profile_snapshot()``.
+GATE_COUNTERS = (
+    "lockstep_armed", "lockstep_built", "lockstep_declined",
+    "lockstep_batches",
+)
+
+
+def _gate_counters(engine) -> dict:
+    snapshot = engine.profile_snapshot()
+    return {key: snapshot[key] for key in GATE_COUNTERS}
+
+
 # ----------------------------------------------------------------------
 # steady state: rounds engage and stay bit-identical
 # ----------------------------------------------------------------------
@@ -127,15 +142,15 @@ def test_lockstep_rounds_engage_on_steady_stream():
 
 
 # ----------------------------------------------------------------------
-# retune mid-lap: plans invalidate and rebuild across divider tuples
+# governed epochs: bit-identical retunes, no lockstep rounds
 # ----------------------------------------------------------------------
 def test_every_epoch_retune_differential():
     """A retune on every epoch boundary lands mid-lap by design.
 
-    The lockstep signature pins the divider tuple, so each retune
-    strands the previous tuple's plans and the cache accumulates
-    plans per tuple; replay across the boundary would be wrong and
-    must never happen.
+    Governed epoch windows are too short to repay a round, so the
+    compiled engine takes no lockstep safepoint in them at all: the
+    orbit batcher, lap vectors, parked columns and runner crediting
+    alone must keep every retune bit-identical to the reference.
     """
     patterns = [(4, 2), (8, 4), (2, 2)]
     governed = {}
@@ -159,11 +174,52 @@ def test_every_epoch_retune_differential():
     assert compiled.transitions == reference.transitions
     assert compiled.transition_count > 0
     driver = engines["compiled"]
-    assert driver.profile_snapshot()["lockstep_batches"] > 0
-    # Plans really accumulated across more than one divider tuple
-    # (the signature's second element is the tuple).
-    tuples = {sig[1] for sig in driver._lock_plans}
-    assert len(tuples) >= 2
+    assert _gate_counters(driver) == dict.fromkeys(GATE_COUNTERS, 0)
+    assert not driver._lock_plans
+
+
+def test_lockstep_confined_to_run_to_completion_windows(monkeypatch):
+    """``run`` engages rounds; ``run_governed`` never takes a safepoint.
+
+    The same streaming chip replays rounds when run to completion.
+    Governed with epochs long enough to hold many rounds, the engine
+    still computes no signature, so it neither probes nor publishes
+    shared plans - the cache a previous run filled stays as it was.
+    """
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
+    monkeypatch.setattr(engine_module, "_FP_INTERN", {})
+    reference = Simulator(
+        build_streaming_pair(), engine="reference"
+    ).run(max_ticks=100_000)
+    completed = CompiledEngine(build_streaming_pair())
+    assert completed.run(max_ticks=100_000) == reference
+    assert _gate_counters(completed)["lockstep_batches"] > 0
+    published = dict(engine_module._SHARED_LOCK_PLANS)
+    assert published
+
+    signatures = []
+    original_signature = CompiledEngine._lock_signature
+
+    def counting_signature(self, tick, period):
+        signatures.append(tick)
+        return original_signature(self, tick, period)
+
+    monkeypatch.setattr(
+        CompiledEngine, "_lock_signature", counting_signature,
+    )
+    governed = {}
+    for name in ("reference", "compiled"):
+        chip = build_streaming_pair()
+        engine = CompiledEngine(chip) if name == "compiled" else name
+        governed[name] = run_governed(
+            chip, StaticGovernor(), engine=engine, epoch_ticks=512,
+            max_ticks=100_000,
+        )
+    assert governed["compiled"].stats == governed["reference"].stats
+    assert governed["compiled"].timeline == governed["reference"].timeline
+    assert not signatures
+    assert _gate_counters(engine) == dict.fromkeys(GATE_COUNTERS, 0)
+    assert engine_module._SHARED_LOCK_PLANS == published
 
 
 # ----------------------------------------------------------------------
@@ -260,45 +316,65 @@ def test_shared_plans_do_not_cross_structures(monkeypatch):
     assert not probe_hits  # different fingerprint, no cross-hits
 
 
+def test_cache_eviction_never_reissues_fingerprints(monkeypatch):
+    """An engine fingerprinted before an eviction never aliases.
+
+    The intern table is evicted with the shared plans at
+    ``_SHARED_LOCK_CAP``, here 1, so the second structure's first
+    fingerprint evicts the first's.  The second structure then
+    publishes a plan under signatures the first also reaches.  The
+    first engine keeps its cached fingerprint, and ids are never
+    reissued, so it misses that plan and records its own.
+    """
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
+    monkeypatch.setattr(engine_module, "_FP_INTERN", {})
+    monkeypatch.setattr(engine_module, "_SHARED_LOCK_CAP", 1)
+    stale = CompiledEngine(build_streaming_pair(samples=96))
+    stale_fp = stale._lock_fingerprint()
+    other = CompiledEngine(build_streaming_pair(samples=80))
+    other.run(max_ticks=100_000)
+    assert stale_fp not in engine_module._FP_INTERN.values()
+    assert engine_module._SHARED_LOCK_PLANS
+
+    probe_hits = []
+    original_probe = CompiledEngine._lock_probe
+
+    def counting_probe(self, sig):
+        plan = original_probe(self, sig)
+        if plan is not None:
+            probe_hits.append(sig)
+        return plan
+
+    monkeypatch.setattr(CompiledEngine, "_lock_probe", counting_probe)
+    reference = Simulator(
+        build_streaming_pair(samples=96), engine="reference"
+    ).run(max_ticks=100_000)
+    assert stale.run(max_ticks=100_000) == reference
+    assert not probe_hits
+    assert stale._lock_fingerprint() == stale_fp
+    assert _gate_counters(stale)["lockstep_batches"] > 0
+
+
 # ----------------------------------------------------------------------
 # cost gate: record only what recurs often enough to amortise
 # ----------------------------------------------------------------------
-#: Reference ticks between recurrences of the streaming pair's steady
-#: signature: one producer iteration (ld, lsl, send) at divider 4.
-STREAM_ROUND_TICKS = 12
-
-
-def _gate_counters(engine) -> dict:
-    snapshot = engine.profile_snapshot()
-    return {
-        key: snapshot[key] for key in (
-            "lockstep_armed", "lockstep_built", "lockstep_declined",
-            "lockstep_batches",
-        )
-    }
-
-
 def test_gate_declines_signatures_recurring_below_threshold(monkeypatch):
-    """Windows too short for the threshold never record a round.
+    """Streams too short for the threshold never record a round.
 
-    Each governed epoch spans ``LOCKSTEP_ARM_RECURRENCES`` rounds, so
-    a signature is sighted at most that many times per window - one
-    recurrence short of arming.  The gate declines every one, nothing
-    is recorded or compiled, and the dense path alone must still match
-    the reference engine bit for bit.
+    The first producer iteration fills the pipeline, so with one
+    sample more than ``LOCKSTEP_ARM_RECURRENCES`` the steady signature
+    is sighted that many times - one recurrence short of arming.  The
+    gate declines every recurrence, nothing is recorded or compiled,
+    and the dense path alone must still match the reference engine
+    bit for bit.
     """
     monkeypatch.setattr(engine_module, "_SHARED_LOCK_PLANS", {})
-    epoch = STREAM_ROUND_TICKS * engine_module.LOCKSTEP_ARM_RECURRENCES
-    governed = {}
-    for name in ("reference", "compiled"):
-        chip = build_streaming_pair()
-        engine = CompiledEngine(chip) if name == "compiled" else name
-        governed[name] = run_governed(
-            chip, StaticGovernor(), engine=engine, epoch_ticks=epoch,
-            max_ticks=100_000,
-        )
-    assert governed["compiled"].stats == governed["reference"].stats
-    assert governed["compiled"].timeline == governed["reference"].timeline
+    samples = engine_module.LOCKSTEP_ARM_RECURRENCES + 1
+    reference = Simulator(
+        build_streaming_pair(samples=samples), engine="reference"
+    ).run(max_ticks=100_000)
+    engine = CompiledEngine(build_streaming_pair(samples=samples))
+    assert engine.run(max_ticks=100_000) == reference
     counters = _gate_counters(engine)
     assert counters["lockstep_declined"] > 0
     assert counters["lockstep_armed"] == 0

@@ -14,11 +14,14 @@ to drive it.
 the orbit batcher, the lockstep compiler, and the comm-headed run
 fusion all active even at smoke sizes.
 
-A second table names counters that must be exactly zero: a DOU cycle
-that fell back to the generic interpreter on ``governed_burst``
-(whose backpressure cycles the compiled plans cover) means a plan
-stopped covering that traffic.  A counter missing from the profile
-fails in both tables rather than reading as zero.
+A second table names counters that must be exactly zero on
+``governed_burst``: a DOU cycle that fell back to the generic
+interpreter (whose backpressure cycles the compiled plans cover)
+means a plan stopped covering that traffic, and any lockstep
+recording, build, decline, or replay means a governed epoch window
+took a lockstep safepoint (rounds are confined to run-to-completion
+windows).  A counter missing from the profile fails in both tables
+rather than reading as zero.
 
 Usage::
 
@@ -45,6 +48,10 @@ REQUIRED_COUNTERS = {
 REQUIRED_ZERO_COUNTERS = {
     "governed_burst": (
         "dou_interpreted_cycles",
+        "lockstep_armed",
+        "lockstep_built",
+        "lockstep_declined",
+        "lockstep_batches",
     ),
 }
 
