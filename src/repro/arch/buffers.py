@@ -50,6 +50,20 @@ class CommBuffer:
         self._words.append(value & 0xFFFFFFFF)
         self.total_pushed += 1
 
+    def push_all(self, values) -> None:
+        """Enqueue every word of ``values`` in order at once.
+
+        Equivalent to calling :meth:`push` per word, except that an
+        overflow raises before any word is enqueued - the bulk
+        counterpart of :meth:`drain` for feeding whole frames.
+        """
+        if len(self._words) + len(values) > self.capacity:
+            raise SimulationError(
+                f"{self.name}: buffer overflow (capacity {self.capacity})"
+            )
+        self._words.extend(value & 0xFFFFFFFF for value in values)
+        self.total_pushed += len(values)
+
     def pop(self) -> int:
         """Dequeue one word; raises on underflow."""
         if self.is_empty:

@@ -319,8 +319,7 @@ class Chip:
     # ------------------------------------------------------------------
     def feed_column(self, column: int, words: list) -> None:
         """Push input words into a column's horizontal-in port."""
-        for word in words:
-            self.columns[column].h_in.push(word)
+        self.columns[column].h_in.push_all(words)
 
     def drain_column(self, column: int) -> list:
         """Pop every word queued at a column's horizontal-out port."""

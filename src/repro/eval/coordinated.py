@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
     PipelineResult,
+    PipelineScenario,
     aes_pipeline_scenario,
     ddc_pipeline_scenario,
     mpeg4_pipeline_scenario,
@@ -79,20 +80,31 @@ def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     # loudly instead of silently running the full default trace.
     scenario = factory(frames=frames) if frames is not None \
         else factory()
-    results = {}
-    for kind in GOVERNORS:
-        compiled = run_pipeline(scenario, kind, engine="compiled")
-        reference = run_pipeline(scenario, kind, engine="reference")
-        if compiled.run.stats != reference.run.stats \
-                or compiled.run.timeline != reference.run.timeline \
-                or compiled.run.transitions != reference.run.transitions:
-            raise AssertionError(
-                f"{key}/{kind}: compiled and reference engines "
-                f"disagree on a governed multi-column run - the "
-                f"bit-identical contract is broken"
-            )
-        results[kind] = compiled
-    return results
+    return {
+        kind: run_on_both_engines(scenario, kind, f"{key}/{kind}")
+        for kind in GOVERNORS
+    }
+
+
+def run_on_both_engines(
+    scenario: PipelineScenario, kind: str, label: str
+) -> PipelineResult:
+    """Run one policy on both engines; return the compiled result.
+
+    The reference run must match the compiled one bit for bit -
+    statistics, epoch timeline, and transition records - or this
+    raises an :class:`AssertionError` naming ``label``.
+    """
+    compiled = run_pipeline(scenario, kind, engine="compiled")
+    reference = run_pipeline(scenario, kind, engine="reference")
+    if compiled.run.stats != reference.run.stats \
+            or compiled.run.timeline != reference.run.timeline \
+            or compiled.run.transitions != reference.run.transitions:
+        raise AssertionError(
+            f"{label}: compiled and reference engines disagree on a "
+            f"governed run - the bit-identical contract is broken"
+        )
+    return compiled
 
 
 def evaluate_all(frames: int | None = None) -> dict:

@@ -5,8 +5,9 @@ under the three governor policies (static worst-case provisioning,
 occupancy-PI, deadline slack), asserts the subsystem's contract -
 feedback governors spend *strictly less* energy than static
 provisioning while missing *zero* deadlines, with per-domain energy
-conservation exact including transition charges - and emits the
-``BENCH_dvfs.json`` artifact.
+conservation exact including transition charges, and every governed
+run bit-identical between the reference and compiled engines - and
+emits the ``BENCH_dvfs.json`` artifact.
 
 ``BENCH_SMOKE=1`` shrinks the frame traces so CI exercises the whole
 pipeline and its assertions without paying the full trace length.
@@ -18,12 +19,9 @@ import json
 import os
 from pathlib import Path
 
-from repro.workloads.dvfs import (
-    ScenarioResult,
-    mpeg4_scene_scenario,
-    run_scenario,
-    wlan_mcs_scenario,
-)
+from repro.eval.coordinated import run_on_both_engines
+from repro.workloads.coordinated import PipelineResult
+from repro.workloads.dvfs import mpeg4_scene_scenario, wlan_mcs_scenario
 
 #: Governor policies compared per scenario (static is the baseline).
 GOVERNORS = ("static", "occupancy_pi", "slack")
@@ -45,7 +43,11 @@ def _smoke() -> bool:
 
 
 def evaluate_scenario(key: str, frames: int | None = None) -> dict:
-    """{governor: ScenarioResult} for one scenario."""
+    """{governor: PipelineResult} for one scenario, differentially run.
+
+    Every governor executes on both engines; the compiled result is
+    returned and the reference run must match it bit for bit.
+    """
     factory = SCENARIOS[key]
     if frames is None and _smoke():
         frames = _SMOKE_FRAMES
@@ -55,12 +57,13 @@ def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     scenario = factory(frames=frames) if frames is not None \
         else factory()
     return {
-        kind: run_scenario(scenario, kind) for kind in GOVERNORS
+        kind: run_on_both_engines(scenario, kind, f"{key}/{kind}")
+        for kind in GOVERNORS
     }
 
 
 def evaluate_all(frames: int | None = None) -> dict:
-    """{scenario key: {governor: ScenarioResult}} for every scenario."""
+    """{scenario key: {governor: PipelineResult}} for every scenario."""
     return {
         key: evaluate_scenario(key, frames=frames)
         for key in SCENARIOS
@@ -109,7 +112,7 @@ def check_contract(evaluations: dict) -> list:
     return findings
 
 
-def _result_payload(result: ScenarioResult) -> dict:
+def _result_payload(result: PipelineResult) -> dict:
     residency = result.frequency_residency(0)
     return {
         "energy_nj": round(result.energy_nj, 3),
@@ -143,7 +146,7 @@ def bench_payload(evaluations: dict | None = None) -> dict:
             "frame_ticks": scenario.frame_ticks,
             "reference_mhz": scenario.reference_mhz,
             "divider_ladder": list(scenario.divider_ladder),
-            "static_divider": scenario.static_divider(),
+            "static_divider": scenario.static_dividers()[0],
             "governors": {
                 kind: dict(
                     _result_payload(result),

@@ -1,13 +1,12 @@
 """Multi-column governed pipelines for the coordinated evaluation.
 
-The bursty scenarios of :mod:`repro.workloads.dvfs` exercise one
-governed column; these scenarios govern whole *pipelines* - the
-paper's actual mapping style, where each column is one stage of the
-DDC or 802.11a receive chain running at its own rationally related
-clock.  A :class:`PipelineScenario` builds an N-column chip (one
-streaming worker per stage, horizontal bus moving words stage to
-stage) and a rate-varying frame trace; :func:`run_pipeline` drives it
-under one of three policies:
+These scenarios govern whole *pipelines* - the paper's actual
+mapping style, where each column is one stage of the DDC or 802.11a
+receive chain running at its own rationally related clock.  A
+:class:`PipelineScenario` builds an N-column chip (one streaming
+worker per stage, horizontal bus moving words stage to stage) and a
+rate-varying frame trace; :func:`run_pipeline` drives it under one of
+three policies:
 
 * ``static`` - per-stage worst-case provisioning (the paper's
   startup-only schedule applied to every stage);
@@ -25,6 +24,11 @@ ledger charges every (epoch, column) window at its committed
 operating point with gated-rail accounting for windows the
 coordinator proves quiescent - conservation stays exact including
 transition and re-wake charges.
+
+A single governed column is a one-stage pipeline: the bursty
+scenarios of :mod:`repro.workloads.dvfs` run through this same
+harness and ledger, and :func:`pipeline_governor` also builds the
+single-column ``occupancy_pi`` and ``slack`` policies for them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from repro.control.epochs import GovernedRun, run_governed
 from repro.control.governor import (
     GOVERNOR_KINDS,
     Governor,
+    OccupancyPIGovernor,
     SlackGovernor,
     StaticGovernor,
     slowest_safe_divider,
@@ -57,7 +63,6 @@ from repro.isa.assembler import assemble
 from repro.power.interconnect import CommProfile
 from repro.power.measured import EnergyLedger
 from repro.power.model import ComponentSpec, PowerModel
-from repro.workloads.dvfs import _mcs_loads, energy_segments
 
 __all__ = [
     "IndependentSlackGovernor",
@@ -68,6 +73,7 @@ __all__ = [
     "aes_pipeline_scenario",
     "charge_pipeline_ledger",
     "ddc_pipeline_scenario",
+    "energy_segments",
     "mpeg4_pipeline_scenario",
     "pipeline_governor",
     "run_pipeline",
@@ -195,9 +201,9 @@ class PipelineScenario:
             self, "divider_ladder",
             tuple(sorted(self.divider_ladder)),
         )
-        if len(self.stages) < 2:
+        if not self.stages:
             raise ConfigurationError(
-                f"{self.name}: a pipeline needs at least two stages"
+                f"{self.name}: a pipeline needs at least one stage"
             )
         for stage in self.stages:
             if not isinstance(stage, PipelineStage):
@@ -436,7 +442,7 @@ class PipelineScenario:
                 // np.gcd(quantum, denominator)
         return int(quantum)
 
-    @property
+    @cached_property
     def stage_firings(self) -> tuple:
         """Firings each stage executes over the whole trace."""
         return tuple(
@@ -448,6 +454,54 @@ class PipelineScenario:
     def total_exit_words(self) -> int:
         """Words the whole trace produces at the pipeline exit."""
         return int(self.total_words * self.exit_scale)
+
+    @cached_property
+    def _credit_walks(self) -> tuple:
+        """Per-stage deadline credit as integer weights.
+
+        Entry ``i`` is ``(denominator, exit_weight, ports, due_num,
+        due_den)``.  The words already *past* stage ``i``, in
+        stage-``i`` input units, are ``exit_weight * produced +
+        sum(weight * len(port))`` over the ``(column, "h_in" |
+        "h_out", weight)`` ports, all divided by ``denominator``: the
+        words produced at the pipe exit, the stage's own output queue,
+        and every word queued along its primary downstream path (the
+        first successor at each fork).  ``due_num / due_den`` is the
+        stage's input scale.  The weights are the exact word-flow
+        scale ratios over their common denominator, so an integer
+        floor division is the exact floor of the sum.
+        """
+        scales = self.input_scales
+        out_scales = self.output_scales
+        walks = []
+        for index, scale in enumerate(scales):
+            terms = [(index, "h_out", scale / out_scales[index])]
+            walk = index
+            while self.stage_successors[walk]:
+                walk = self.stage_successors[walk][0]
+                # A join's input queue interleaves branch words a
+                # branch stage cannot attribute, so it earns no
+                # credit: counting an averaged share would let a
+                # lagging branch claim the *other* branch's progress.
+                if len(self.stage_predecessors[walk]) == 1:
+                    terms.append((walk, "h_in", scale / scales[walk]))
+                terms.append((walk, "h_out", scale / out_scales[walk]))
+            exit_weight = scale / self.exit_scale
+            denominator = math.lcm(
+                exit_weight.denominator,
+                *(weight.denominator for _, _, weight in terms),
+            )
+            walks.append((
+                denominator,
+                int(exit_weight * denominator),
+                tuple(
+                    (column, port, int(weight * denominator))
+                    for column, port, weight in terms
+                ),
+                scale.numerator,
+                scale.denominator,
+            ))
+        return tuple(walks)
 
     # ------------------------------------------------------------------
     # provisioning
@@ -491,49 +545,22 @@ class PipelineScenario:
                 f"{self.name}: {self.n_stages} stages but "
                 f"{len(start)} start dividers"
             )
-        firings = self.stage_firings
-        programs = []
-        dou_programs = []
-        for index, stage in enumerate(self.stages):
-            recvs = "\n".join(
-                "  recv r1" for _ in range(stage.words_in)
-            )
-            work = "\n".join(
-                "  addi r2, r2, 1"
-                for _ in range(stage.work_per_word)
-            )
-            sends = "\n".join(
-                "  send r1" for _ in range(stage.words_out)
-            )
-            programs.append(assemble(f"""
-                tmask 0x1            ; tile 0 is the stage worker
-                movi r2, 0
-                loop {firings[index]}
-{recvs}
-{work}
-{sends}
-                endloop
-                halt
-            """, f"{self.key}-{stage.name}"))
-            dou_programs.append(compile_schedule(
-                [
-                    [Transfer(src=PORT_POSITION, dsts=(0,))],
-                    [Transfer(src=0, dsts=(PORT_POSITION,))],
-                ],
-                name=f"{self.key}-{stage.name}-stream",
-            ))
+        programs, dou_programs = zip(*(
+            _stage_programs(self.key, stage, firings)
+            for stage, firings in zip(self.stages, self.stage_firings)
+        ))
         successors = self.stage_successors
         # One round-robin cycle per *producing* stage; a fork's single
-        # transfer broadcasts the word into every branch port.
+        # transfer broadcasts the word into every branch port.  A
+        # one-stage pipeline has no producer and no horizontal bus.
+        cycles = [
+            [Transfer(src=index, dsts=successors[index])]
+            for index in range(self.n_stages)
+            if successors[index]
+        ]
         horizontal = compile_schedule(
-            [
-                [Transfer(src=index, dsts=successors[index])]
-                for index in range(self.n_stages)
-                if successors[index]
-            ],
-            n_positions=self.n_stages,
-            name=f"{self.key}-hbus",
-        )
+            cycles, n_positions=self.n_stages, name=f"{self.key}-hbus",
+        ) if cycles else None
         config = ChipConfig(
             reference_mhz=self.reference_mhz,
             columns=tuple(
@@ -544,10 +571,50 @@ class PipelineScenario:
         )
         return Chip(
             config,
-            programs=programs,
-            dou_programs=dou_programs,
+            programs=list(programs),
+            dou_programs=list(dou_programs),
             horizontal_dou=horizontal,
         )
+
+
+#: (key, stage, firings) -> (worker Program, stream DouProgram).  Both
+#: are immutable once built, and every chip of a scenario runs the
+#: same pairs, so repeated runs skip re-assembling.
+_STAGE_PROGRAMS: dict = {}
+
+
+def _stage_programs(key: str, stage: PipelineStage, firings: int):
+    """One stage's column and stream DOU programs (cached, bounded)."""
+    cache_key = (key, stage, firings)
+    programs = _STAGE_PROGRAMS.get(cache_key)
+    if programs is None:
+        recvs = "\n".join("  recv r1" for _ in range(stage.words_in))
+        work = "\n".join(
+            "  addi r2, r2, 1" for _ in range(stage.work_per_word)
+        )
+        sends = "\n".join("  send r1" for _ in range(stage.words_out))
+        program = assemble(f"""
+            tmask 0x1            ; tile 0 is the stage worker
+            movi r2, 0
+            loop {firings}
+{recvs}
+{work}
+{sends}
+            endloop
+            halt
+        """, f"{key}-{stage.name}")
+        dou = compile_schedule(
+            [
+                [Transfer(src=PORT_POSITION, dsts=(0,))],
+                [Transfer(src=0, dsts=(PORT_POSITION,))],
+            ],
+            name=f"{key}-{stage.name}-stream",
+        )
+        programs = (program, dou)
+        if len(_STAGE_PROGRAMS) >= 64:
+            _STAGE_PROGRAMS.clear()
+        _STAGE_PROGRAMS[cache_key] = programs
+    return programs
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +658,23 @@ def ddc_pipeline_scenario(
             PipelineStage("gain", work_per_word=1),
         ),
     )
+
+
+def _mcs_loads(frames: int, seed: int) -> tuple:
+    """A WLAN modulation-and-coding trace: sticky MCS with hops."""
+    rng = np.random.default_rng(seed)
+    levels = (12, 24, 48, 96)  # BPSK .. 64-QAM words per frame
+    level = 1
+    loads = []
+    for _ in range(frames):
+        roll = rng.random()
+        if roll > 0.65:  # hop one MCS step, biased upward
+            step = 1 if rng.random() < 0.55 else -1
+            level = min(len(levels) - 1, max(0, level + step))
+        loads.append(levels[level])
+    # Guarantee the trace really exercises the worst case once.
+    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
+    return tuple(loads)
 
 
 def wlan_rx_pipeline_scenario(
@@ -829,16 +913,23 @@ GOVERNOR_KINDS[IndependentSlackGovernor.name] = IndependentSlackGovernor
 def pipeline_governor(
     kind: str, scenario: PipelineScenario
 ) -> Governor:
-    """Construct one of the evaluated pipeline policies.
+    """Construct one of the evaluated policies for a scenario.
+
+    Besides the :data:`PIPELINE_GOVERNORS`, the single-column
+    evaluation's ``occupancy_pi`` and ``slack`` governors manage every
+    column from the whole-chip signals.
 
     Raises
     ------
     ConfigurationError
-        For names outside :data:`PIPELINE_GOVERNORS`, with the valid
-        choices listed.
+        For any other name, with the valid choices listed.
     """
     if kind == "static":
         return StaticGovernor(scenario.static_dividers())
+    if kind == "occupancy_pi":
+        return OccupancyPIGovernor(scenario.divider_ladder)
+    if kind == "slack":
+        return SlackGovernor(scenario.divider_ladder)
     if kind == "independent":
         return IndependentSlackGovernor(
             scenario.divider_ladder,
@@ -861,7 +952,7 @@ def pipeline_governor(
         )
     raise ConfigurationError(
         f"{scenario.key}: unknown pipeline governor {kind!r}; valid: "
-        f"{sorted(PIPELINE_GOVERNORS)}"
+        f"{sorted(PIPELINE_GOVERNORS + ('occupancy_pi', 'slack'))}"
     )
 
 
@@ -879,13 +970,38 @@ class _PipelineHarness:
         self.fed_frames = 0
         self.produced = 0
         self.samples: list = []
+        self._tail = chip.columns[-1].h_out
+        # Head words due by the end of each frame, and the exit scale
+        # as a fraction, so deadlines need integer arithmetic only.
+        self._due_heads = tuple(accumulate(scenario.frame_loads))
+        exit_scale = scenario.exit_scale
+        self._exit = (exit_scale.numerator, exit_scale.denominator)
+        columns = chip.columns
+        self._walks = tuple(
+            (
+                denominator,
+                exit_weight,
+                tuple(
+                    (getattr(columns[column], port), weight)
+                    for column, port, weight in ports
+                ),
+                due_num,
+                due_den,
+            )
+            for denominator, exit_weight, ports, due_num, due_den
+            in scenario._credit_walks
+        )
+        self._frame_words = [
+            1 + (w % 97) for w in range(scenario.peak_words)
+        ]
+        self._cycles_per_word = float(max(scenario.stage_cycles))
+        self._stage_cycles = tuple(
+            float(c) for c in scenario.stage_cycles
+        )
 
     def before_epoch(self, chip: Chip, epoch: int) -> None:
         tick = chip.reference_ticks
-        tail = chip.columns[-1]
-        while not tail.h_out.is_empty:
-            tail.h_out.pop()
-            self.produced += 1
+        self.produced += self._tail.drain()
         scenario = self.scenario
         while self.fed_frames < scenario.n_frames \
                 and self.fed_frames * scenario.frame_ticks <= tick:
@@ -897,100 +1013,80 @@ class _PipelineHarness:
                     f"tick {tick} - raise port_capacity or fix the "
                     f"governor"
                 )
-            chip.feed_column(0, [1 + (w % 97) for w in range(words)])
+            chip.feed_column(0, self._frame_words[:words])
             self.fed_frames += 1
         self.samples.append((tick, self.produced))
-
-    def _due_words(self, tick: int) -> tuple:
-        """Due head words, the same in exit words, next deadline."""
-        scenario = self.scenario
-        arrived = min(
-            scenario.n_frames - 1, tick // scenario.frame_ticks
-        )
-        due_head = sum(scenario.frame_loads[:arrived + 1])
-        due_exit = int(due_head * scenario.exit_scale)
-        next_deadline = (arrived + 1) * scenario.frame_ticks
-        return due_head, due_exit, next_deadline
 
     def telemetry_extras(self, chip: Chip, epoch: int) -> dict:
         """Chip-level deadline signals, end-of-pipe and per-stage.
 
         ``stage_words_to_deadline[i]`` subtracts from the words due at
         stage ``i`` (the due head words scaled into the stage's own
-        input units) everything already *past* the stage: the words
-        produced at the pipe exit, the stage's own output queue, and
-        every word queued along the stage's primary downstream path -
-        all converted into stage-``i`` input units through the exact
-        word-flow scales, and floored so rounding can only make a
-        governor run *faster*.  On a fork only the primary branch's
-        queues are credited (a word still owed on the other branch is
-        not past the fork), which again errs fast, never slow.
+        input units) everything already past the stage (see
+        :attr:`PipelineScenario._credit_walks`), floored so rounding
+        can only make a governor run *faster*.  On a fork only the
+        primary branch's queues are credited (a word still owed on
+        the other branch is not past the fork), which again errs
+        fast, never slow.
         """
         scenario = self.scenario
         tick = chip.reference_ticks
-        due_head, due_exit, next_deadline = self._due_words(tick)
-        columns = chip.columns
-        scales = scenario.input_scales
-        out_scales = scenario.output_scales
-        successors = scenario.stage_successors
+        arrived = min(
+            scenario.n_frames - 1, tick // scenario.frame_ticks
+        )
+        due_head = self._due_heads[arrived]
+        produced = self.produced
         stage_words = []
-        for index in range(scenario.n_stages):
-            scale = scales[index]
-            past = self.produced * scale / scenario.exit_scale
-            past += len(columns[index].h_out) \
-                * scale / out_scales[index]
-            walk = index
-            while successors[walk]:
-                walk = successors[walk][0]
-                # A join's input queue interleaves branch words a
-                # branch stage cannot attribute, so it earns no
-                # credit: counting an averaged share would let a
-                # lagging branch claim the *other* branch's progress.
-                if len(scenario.stage_predecessors[walk]) == 1:
-                    past += len(columns[walk].h_in) \
-                        * scale / scales[walk]
-                past += len(columns[walk].h_out) \
-                    * scale / out_scales[walk]
-            due_stage = int(due_head * scale)
-            stage_words.append(max(0, due_stage - int(past)))
-        window = next_deadline - tick \
+        for denominator, exit_weight, ports, num, den in self._walks:
+            past = produced * exit_weight
+            for port, weight in ports:
+                past += len(port) * weight
+            stage_words.append(
+                max(0, due_head * num // den - past // denominator)
+            )
+        exit_num, exit_den = self._exit
+        window = (arrived + 1) * scenario.frame_ticks - tick \
             - scenario.drain_allowance_ticks
         return {
-            "words_to_deadline": max(0, due_exit - self.produced),
-            "ticks_to_deadline": max(1, window),
-            "cycles_per_word": float(max(scenario.stage_cycles)),
-            "stage_words_to_deadline": tuple(stage_words),
-            "stage_cycles_per_word": tuple(
-                float(c) for c in scenario.stage_cycles
+            "words_to_deadline": max(
+                0, due_head * exit_num // exit_den - produced
             ),
+            "ticks_to_deadline": max(1, window),
+            "cycles_per_word": self._cycles_per_word,
+            "stage_words_to_deadline": tuple(stage_words),
+            "stage_cycles_per_word": self._stage_cycles,
         }
 
     def finish(self, run: GovernedRun) -> None:
-        """Credit words that only left during the post-halt drain."""
-        tail = self.chip.columns[-1]
-        while not tail.h_out.is_empty:
-            tail.h_out.pop()
-            self.produced += 1
+        """Account the words still in flight at halt time.
+
+        Words the tail SENT before halting only reach the output port
+        during the post-halt bus drain, so they are credited at the
+        drain's end tick - the conservative timestamp: a deadline
+        falling between halt and drain-end counts them as late.
+        """
+        self.produced += self._tail.drain()
         self.samples.append(
             (run.stats.reference_ticks, self.produced)
         )
 
     def deadline_misses(self) -> int:
         """Frames whose words had not all left the pipe in time."""
-        scenario = self.scenario
+        frame_ticks = self.scenario.frame_ticks
+        exit_num, exit_den = self._exit
+        samples = self.samples  # taken at non-decreasing ticks
         misses = 0
-        due_head = 0
-        for index, words in enumerate(scenario.frame_loads):
-            due_head += words
-            due = int(due_head * scenario.exit_scale)
-            deadline = (index + 1) * scenario.frame_ticks
-            produced_by_deadline = 0
-            for tick, produced in self.samples:
-                if tick <= deadline:
-                    produced_by_deadline = max(
-                        produced_by_deadline, produced
-                    )
-            if produced_by_deadline < due:
+        produced_by_deadline = 0
+        cursor = 0
+        for index, due_head in enumerate(self._due_heads):
+            deadline = (index + 1) * frame_ticks
+            while cursor < len(samples) \
+                    and samples[cursor][0] <= deadline:
+                produced_by_deadline = max(
+                    produced_by_deadline, samples[cursor][1]
+                )
+                cursor += 1
+            if produced_by_deadline < due_head * exit_num // exit_den:
                 misses += 1
         return misses
 
@@ -998,6 +1094,35 @@ class _PipelineHarness:
 # ----------------------------------------------------------------------
 # energy accounting with power gating
 # ----------------------------------------------------------------------
+def energy_segments(run: GovernedRun, name: str = "run") -> list:
+    """Tile a governed run's tick span into chargeable segments.
+
+    Returns ``(dividers, duration_ticks, column_activity | None)``
+    triples: one per epoch window, plus a final activity-free segment
+    for the post-halt bus drain at the last committed clock.  The
+    *coverage* invariant is checked here - the segments must tile the
+    run's full reference-tick span exactly, so a dropped epoch or
+    drain window raises :class:`~repro.errors.SimulationError` instead
+    of silently undercounting energy.
+    """
+    segments = [
+        (epoch.dividers, epoch.duration_ticks, epoch.column_activity)
+        for epoch in run.timeline
+    ]
+    covered = run.timeline[-1].end_tick if run.timeline else 0
+    drain = run.stats.reference_ticks - covered
+    if drain > 0 and run.timeline:
+        segments.append((run.timeline[-1].dividers, drain, None))
+    tiled = sum(ticks for _, ticks, _ in segments)
+    if tiled != run.stats.reference_ticks:
+        raise SimulationError(
+            f"{name}: energy segments cover {tiled} of "
+            f"{run.stats.reference_ticks} reference ticks - the "
+            f"ledger would undercount"
+        )
+    return segments
+
+
 def charge_pipeline_ledger(
     scenario: PipelineScenario,
     run: GovernedRun,
@@ -1008,9 +1133,10 @@ def charge_pipeline_ledger(
     """Ledger over the pipeline timeline, with gated-rail windows.
 
     Every (epoch, column) window is charged at that epoch's committed
-    operating point with the window's measured busy split, exactly as
-    the single-column charger does; additionally, when ``gating`` is
-    on, the coordinator's gate plan
+    operating point and minimum rail with the window's measured busy
+    split and bus density; the post-halt drain is charged idle at the
+    final operating point.  Additionally, when ``gating`` is on, the
+    coordinator's gate plan
     (:func:`~repro.control.coordinator.plan_power_gating`) marks fully
     quiescent windows, and each candidate segment is gated only if the
     retention savings beat its re-wake rail charge - the break-even
@@ -1033,6 +1159,9 @@ def charge_pipeline_ledger(
     n_columns = scenario.n_stages
 
     # Evaluate every (segment, column) operating point once.
+    n_tiles = [
+        run.stats.column(column).n_tiles for column in range(n_columns)
+    ]
     powers = []
     for index, (dividers, ticks, activity) in enumerate(segments):
         row = []
@@ -1040,7 +1169,7 @@ def charge_pipeline_ledger(
             delta = activity[column] if activity is not None else None
             spec = ComponentSpec(
                 name=f"seg{index}.col{column}",
-                n_tiles=run.stats.column(column).n_tiles,
+                n_tiles=n_tiles[column],
                 frequency_mhz=reference_mhz / dividers[column],
                 comm=CommProfile(
                     words_per_cycle=(
@@ -1093,11 +1222,12 @@ def charge_pipeline_ledger(
 
     ledger = EnergyLedger()
     expected = 0.0
-    for index, (dividers, ticks, activity) in enumerate(segments):
+    for index, ((_, ticks, activity), row) in enumerate(
+        zip(segments, powers)
+    ):
         time_us = ticks / reference_mhz
-        for column in range(n_columns):
-            power = powers[index][column]
-            if (index, column) in gated:
+        for column, power in enumerate(row):
+            if gated and (index, column) in gated:
                 ledger.charge_gated(
                     power, time_us,
                     retained_leakage_fraction=GATED_LEAKAGE_FRACTION,
@@ -1202,6 +1332,18 @@ class PipelineResult:
         return self.run.stats_with_epochs.frequency_residency(column)
 
 
+@lru_cache(maxsize=1)
+def _default_models() -> tuple:
+    """The shared paper-default ``(TransitionModel, PowerModel)``.
+
+    Both are pure evaluators over module-constant technology
+    parameters (the stateful part, ``TransitionEngine``, is built per
+    run), so every run can reuse one pair instead of refitting the
+    voltage curve and wire model each call.
+    """
+    return TransitionModel(), PowerModel()
+
+
 def run_pipeline(
     scenario: PipelineScenario,
     governor: Governor | str,
@@ -1228,7 +1370,8 @@ def run_pipeline(
     budget = max_ticks if max_ticks is not None else (
         (scenario.n_frames + 8) * scenario.frame_ticks * 4
     )
-    transitions = transition_model or TransitionModel()
+    default_transitions, default_power = _default_models()
+    transitions = transition_model or default_transitions
     run = run_governed(
         chip,
         governor,
@@ -1247,7 +1390,7 @@ def run_pipeline(
             f"and trace disagree"
         )
     ledger, error, gate_segments = charge_pipeline_ledger(
-        scenario, run, model or PowerModel(), transitions,
+        scenario, run, model or default_power, transitions,
         gating=gating,
     )
     return PipelineResult(

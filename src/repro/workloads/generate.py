@@ -400,18 +400,23 @@ def _check_books(result) -> None:
 def check_invariants(generated: GeneratedScenario) -> dict:
     """Run one generated case through the standing invariant suite.
 
-    Asserted, in order: the governed run is bit-identical between the
-    compiled and reference engines (statistics, epoch timeline,
-    transition records); it is deterministic (a second compiled run
-    fingerprints identically); it meets every frame deadline; energy
-    conservation holds to :data:`CONSERVATION_TOLERANCE`; and the
-    ledger's books balance entry by entry.  Returns a summary row for
-    the fuzz artifact.  Any :class:`AssertionError` message leads
-    with the ``(seed, index)`` repro pair.
+    Asserted, in order: the case carries words to the pipe exit; the
+    governed run is bit-identical between the compiled and reference
+    engines (statistics, epoch timeline, transition records); it is
+    deterministic (a second compiled run fingerprints identically); it
+    meets every frame deadline; energy conservation holds to
+    :data:`CONSERVATION_TOLERANCE`; and the ledger's books balance
+    entry by entry.  Returns a summary row for the fuzz artifact.  Any
+    :class:`AssertionError` message leads with the ``(seed, index)``
+    repro pair.
     """
     label = f"(seed {generated.seed}, index {generated.index}) " \
             f"{generated.class_key}"
     try:
+        if generated.scenario.total_exit_words <= 0:
+            raise AssertionError(
+                "no words reach the pipe exit - the case checks nothing"
+            )
         compiled = run_pipeline(
             generated.scenario, generated.governor, engine="compiled"
         )
@@ -479,4 +484,10 @@ def check_case(case: tuple) -> dict:
     reproduced by.
     """
     seed, index = case
-    return check_invariants(generate_scenario(seed, index))
+    generated = generate_scenario(seed, index)
+    if (generated.seed, generated.index) != (seed, index):
+        raise AssertionError(
+            f"(seed {seed}, index {index}) regenerated as "
+            f"(seed {generated.seed}, index {generated.index})"
+        )
+    return check_invariants(generated)

@@ -62,3 +62,21 @@ def test_clear():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         CommBuffer("b", capacity=0)
+
+
+def test_push_all_matches_per_word_pushes():
+    bulk, single = CommBuffer("a", capacity=4), CommBuffer("b", capacity=4)
+    bulk.push_all([1, -1, 3])
+    for value in (1, -1, 3):
+        single.push(value)
+    assert list(bulk._words) == list(single._words) == [1, 0xFFFFFFFF, 3]
+    assert bulk.total_pushed == single.total_pushed == 3
+
+
+def test_push_all_overflow_enqueues_nothing():
+    buffer = CommBuffer("b", capacity=2)
+    buffer.push(1)
+    with pytest.raises(SimulationError, match="overflow"):
+        buffer.push_all([2, 3])
+    assert len(buffer) == 1
+    assert buffer.total_pushed == 1

@@ -8,9 +8,12 @@ conservation, and balanced ledger books.  Shrinking is by
 construction - a failing parameterization *is* its two-integer repro
 (replay verbosely with ``python tools/repro_fuzz_case.py SEED INDEX``).
 
-``FUZZ_SEED`` / ``FUZZ_COUNT`` select the sweep: tier-1 runs a small
-default shard, CI's fuzz matrix runs 200 cases per seed (11 / 23 /
-47), covering every app, every topology, and non-1:1 rate ratios.
+``FUZZ_SEED`` / ``FUZZ_COUNT`` select the sweep: tier-1 and CI's fuzz
+matrix (seeds 11 / 23 / 47) run the small default shard, which covers
+every app, every topology, and non-1:1 rate ratios.  The 200-case
+sweep per seed runs once, through ``runner --fuzz``: ``check_case``
+enforces every per-case assertion below and
+``tools/check_fuzz_artifact.py`` the coverage.
 """
 
 import os

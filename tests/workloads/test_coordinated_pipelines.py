@@ -5,17 +5,20 @@ import pickle
 import pytest
 
 from repro.control.coordinator import CoordinatedGovernor
+from repro.control.epochs import run_governed
 from repro.errors import ConfigurationError
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
     IndependentSlackGovernor,
     PipelineScenario,
     PipelineStage,
+    _PipelineHarness,
     ddc_pipeline_scenario,
     pipeline_governor,
     run_pipeline,
     wlan_rx_pipeline_scenario,
 )
+from repro.workloads.generate import generate_scenario
 
 FRAMES = 6
 
@@ -66,12 +69,20 @@ class TestScenarioShape:
         assert clone == scenario
         assert clone.output_scales == scenario.output_scales
 
-    def test_rejects_single_stage(self):
-        with pytest.raises(ConfigurationError, match="two stages"):
+    def test_rejects_zero_stages(self):
+        with pytest.raises(ConfigurationError, match="one stage"):
             PipelineScenario(
-                name="x", key="x", frame_loads=(8,),
-                stages=(PipelineStage("only", 2),),
+                name="x", key="x", frame_loads=(8,), stages=(),
             )
+
+    def test_single_stage_builds_without_horizontal_bus(self):
+        scenario = PipelineScenario(
+            name="x", key="x", frame_loads=(8,),
+            stages=(PipelineStage("only", 2),),
+        )
+        chip = scenario.build_chip()
+        assert len(chip.columns) == 1
+        assert chip.horizontal_dou is None
 
     def test_rejects_unaligned_epochs(self):
         with pytest.raises(ConfigurationError, match="divide"):
@@ -178,3 +189,57 @@ class TestPipelineRuns:
         assert gated.gate_segments
         assert gated.energy_nj < plain.energy_nj
         assert gated.conservation_error <= 1e-9
+
+
+def _fraction_stage_words(scenario, produced, chip) -> tuple:
+    """Per-stage words to deadline, in exact Fraction arithmetic."""
+    arrived = min(
+        scenario.n_frames - 1,
+        chip.reference_ticks // scenario.frame_ticks,
+    )
+    due_head = sum(scenario.frame_loads[:arrived + 1])
+    scales = scenario.input_scales
+    out_scales = scenario.output_scales
+    words = []
+    for index, scale in enumerate(scales):
+        past = produced * scale / scenario.exit_scale
+        past += len(chip.columns[index].h_out) * scale / out_scales[index]
+        walk = index
+        while scenario.stage_successors[walk]:
+            walk = scenario.stage_successors[walk][0]
+            if len(scenario.stage_predecessors[walk]) == 1:
+                past += len(chip.columns[walk].h_in) \
+                    * scale / scales[walk]
+            past += len(chip.columns[walk].h_out) \
+                * scale / out_scales[walk]
+        words.append(max(0, int(due_head * scale) - int(past)))
+    return tuple(words)
+
+
+@pytest.mark.parametrize("index", [6, 26])
+def test_integer_credit_walk_matches_fraction_reference(index):
+    # Generated cases 6 (an expanding stage ahead of a decimator) and
+    # 26 (fork/join) give fractional credit weights and due scales;
+    # the harness's integer weights must floor exactly like the
+    # Fraction sums at every epoch of a governed run.
+    scenario = generate_scenario(11, index).scenario
+    assert max(walk[0] for walk in scenario._credit_walks) > 1
+    chip = scenario.build_chip()
+    harness = _PipelineHarness(scenario, chip)
+    published = []
+
+    def extras(chip, epoch):
+        signals = harness.telemetry_extras(chip, epoch)
+        assert signals["stage_words_to_deadline"] \
+            == _fraction_stage_words(scenario, harness.produced, chip)
+        published.append(signals["stage_words_to_deadline"])
+        return signals
+
+    run_governed(
+        chip,
+        pipeline_governor("coordinated", scenario),
+        epoch_ticks=scenario.epoch_ticks,
+        before_epoch=harness.before_epoch,
+        telemetry_extras=extras,
+    )
+    assert any(any(words) for words in published)

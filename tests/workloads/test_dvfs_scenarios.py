@@ -1,11 +1,11 @@
-"""Bursty scenarios and the governed scenario harness."""
+"""Bursty single-column scenarios on the one-stage pipeline harness."""
 
 import pytest
 
 from repro.arch.column_exec import compile_column_runner
 from repro.errors import ConfigurationError
+from repro.workloads.coordinated import PipelineScenario, PipelineStage
 from repro.workloads.dvfs import (
-    BurstyScenario,
     mpeg4_scene_scenario,
     run_scenario,
     wlan_mcs_scenario,
@@ -38,16 +38,17 @@ class TestScenarioShape:
             assert scenario.peak_words >= 3 * min(scenario.frame_loads)
 
     def test_static_divider_sustains_the_peak(self, wlan):
-        divider = wlan.static_divider()
+        (divider,) = wlan.static_dividers()
+        (cycles_per_word,) = wlan.stage_cycles
         budget = wlan.frame_ticks / divider
-        assert budget >= wlan.peak_words * wlan.cycles_per_word
+        assert budget >= wlan.peak_words * cycles_per_word
         # and the next slower rung would not make it
         ladder = wlan.divider_ladder
         slower = [d for d in ladder if d > divider]
         if slower:
             assert wlan.frame_ticks / slower[0] \
                 < wlan.provision_guard * wlan.peak_words \
-                * wlan.cycles_per_word
+                * cycles_per_word
 
     def test_chips_share_programs_and_runner_tables(self, wlan, mpeg4):
         first, second = wlan.build_chip(), wlan.build_chip()
@@ -62,15 +63,16 @@ class TestScenarioShape:
         assert other.dispatch is not table
 
     def test_epoch_and_frame_alignment_is_validated(self):
+        worker = (PipelineStage("worker", 6),)
         with pytest.raises(ConfigurationError, match="multiple"):
-            BurstyScenario(
-                name="bad", key="bad", frame_loads=(4,),
+            PipelineScenario(
+                name="bad", key="bad", frame_loads=(4,), stages=worker,
                 frame_ticks=100, epoch_ticks=100,
                 divider_ladder=(1, 8),
             )
         with pytest.raises(ConfigurationError, match="divide"):
-            BurstyScenario(
-                name="bad", key="bad", frame_loads=(4,),
+            PipelineScenario(
+                name="bad", key="bad", frame_loads=(4,), stages=worker,
                 frame_ticks=2048, epoch_ticks=513,
                 divider_ladder=(1,),
             )
