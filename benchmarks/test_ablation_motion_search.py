@@ -16,6 +16,9 @@ from repro.apps.mpeg4 import (
     synthetic_sequence,
 )
 
+# synthetic_sequence smooths its frames with scipy.ndimage.
+pytest.importorskip("scipy")
+
 FRAMES = synthetic_sequence(3, shape=QCIF_SHAPE, motion_per_frame=(1, 2),
                             seed=2)
 

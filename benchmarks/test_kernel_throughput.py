@@ -39,6 +39,7 @@ def test_aes_block(benchmark):
 
 
 def test_ddc_block(benchmark):
+    pytest.importorskip("scipy")  # the DDC's FIR stages use scipy.signal
     ddc = DigitalDownConverter()
     samples = RNG.standard_normal(64 * 64)
     out = benchmark.pedantic(ddc.process, args=(samples,), rounds=2,

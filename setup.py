@@ -1,11 +1,19 @@
-"""Legacy setup shim.
+"""Package metadata for the ``repro`` package (``src`` layout).
 
-The execution environment is offline and lacks the ``wheel`` package,
-so PEP 517 editable installs (which build a wheel) fail.  This shim
-lets ``pip install -e .`` fall back to ``setup.py develop``.
-All real metadata lives in pyproject.toml.
+There is no ``pyproject.toml``: this file is the whole build
+configuration, so ``pip install -e .`` works offline through
+``setup.py develop`` without the ``wheel`` package.  The core needs
+numpy only; the ``apps`` extra adds scipy for the application golden
+models in ``repro.apps``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    extras_require={"apps": ["scipy"]},
+)

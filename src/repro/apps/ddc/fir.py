@@ -10,11 +10,15 @@ follows.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
+
+# SciPy is imported where it is used, so importing this golden model
+# (and the simulator paths that share its package) needs numpy only.
 
 
 def design_lowpass(taps: int, cutoff: float, window: str = "hamming") -> np.ndarray:
     """Windowed-sinc linear-phase lowpass (cutoff in normalized 0..1)."""
+    from scipy import signal as sp_signal
+
     if taps < 3:
         raise ValueError("need at least 3 taps")
     if not 0.0 < cutoff < 1.0:
@@ -50,6 +54,8 @@ def design_cic_compensator(
     capped at ``max_boost``) and zero beyond ``cutoff`` (normalized to
     the CFIR's input Nyquist).
     """
+    from scipy import signal as sp_signal
+
     if taps % 2 == 0:
         raise ValueError("compensator tap count must be odd")
     grid = np.linspace(0.0, 1.0, 128)
@@ -93,6 +99,8 @@ class FirDecimator:
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter one block, returning the decimated output samples."""
+        from scipy import signal as sp_signal
+
         block = np.asarray(block, dtype=np.complex128)
         self.samples_in += len(block)
         filtered, self._state = sp_signal.lfilter(
@@ -109,6 +117,8 @@ class FirDecimator:
 
     def frequency_response(self, points: int = 512) -> tuple:
         """(normalized frequencies, complex response) for inspection."""
+        from scipy import signal as sp_signal
+
         frequencies, response = sp_signal.freqz(
             self.coefficients, worN=points
         )

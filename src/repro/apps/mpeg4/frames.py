@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+# SciPy is imported where it is used, so importing this golden model
+# (and the simulator paths that share its package) needs numpy only.
 
 
 def psnr(reference: np.ndarray, reconstructed: np.ndarray,
@@ -34,6 +36,8 @@ def synthetic_sequence(
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
+    from scipy import ndimage
+
     rng = np.random.default_rng(seed)
     height, width = shape
     dy, dx = motion_per_frame

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+
+# SciPy is imported where it is used, so importing this golden model
+# (and the simulator paths that share its package) needs numpy only.
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ def min_eigenvalue_response(
     """
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 3")
+    from scipy import ndimage
+
     gy, gx = image_gradients(image)
     kernel = np.ones((window, window), dtype=np.float64)
     gxx = ndimage.convolve(gx * gx, kernel, mode="constant")
@@ -63,6 +67,8 @@ def non_maximum_suppression(
     """Boolean mask of strict local maxima within ``radius``."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    from scipy import ndimage
+
     size = 2 * radius + 1
     local_max = ndimage.maximum_filter(response, size=size, mode="constant")
     return (response == local_max) & (response > 0)

@@ -10,11 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.apps.stereo.features import extract_features
 from repro.apps.stereo.svd import pilu_correspondence
 from repro.sdf.graph import SdfGraph
+
+# SciPy is imported where it is used, so importing this golden model
+# (and the simulator paths that share its package) needs numpy only.
+
 
 FRAME_SHAPE = (256, 256)
 FRAME_RATE_FPS = 10.0
@@ -91,6 +94,8 @@ def synthetic_stereo_pair(
     lower column indices (objects at one depth plane), so recovered
     disparities should cluster at ``disparity``.
     """
+    from scipy import ndimage
+
     rng = np.random.default_rng(seed)
     height, width = shape
     canvas = np.zeros((height, width + disparity))

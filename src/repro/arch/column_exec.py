@@ -115,7 +115,9 @@ def _emit_signed(lines, temp, name):
 #: rebuild identical chips per engine per repeat; the generated code
 #: depends only on the instruction shapes, so recompiling per run
 #: would put ``builtins.compile`` on the benchmark's critical path.
+#: Least recently used first; at most ``_CODEGEN_CACHE_CAP`` entries.
 _CODEGEN_CACHE: dict = {}
+_CODEGEN_CACHE_CAP = 1024
 
 
 def _codegen_key(instrs):
@@ -147,11 +149,14 @@ def _codegen_block(instrs):
     except TypeError:
         key = None
     if key is not None:
-        cached = _CODEGEN_CACHE.get(key)
+        cached = _CODEGEN_CACHE.pop(key, None)
         if cached is not None:
+            _CODEGEN_CACHE[key] = cached
             return cached
     compiled = _codegen_block_uncached(instrs)
     if key is not None:
+        if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_CAP:
+            del _CODEGEN_CACHE[next(iter(_CODEGEN_CACHE))]
         _CODEGEN_CACHE[key] = compiled
     return compiled
 

@@ -215,11 +215,12 @@ def _run_ddc_pipeline(engine: str):
     return Simulator(chip, engine=engine).run(max_ticks=1_000_000)
 
 
-#: frame count -> prebuilt scenario.  ``wlan_mcs_scenario`` fits cubic
-#: splines over the MCS trace; that construction is identical for every
-#: timed repeat and is not part of either engine's work, so it is
-#: hoisted out of the timing loop (``run_scenario`` builds a fresh chip
-#: and harness per call and never mutates the scenario).
+#: frame count -> prebuilt scenario.  ``wlan_mcs_scenario`` builds a
+#: one-stage ``PipelineScenario`` from a numpy-rng MCS trace; that
+#: construction is identical for every timed repeat and is not part of
+#: either engine's work, so it is hoisted out of the timing loop
+#: (``run_scenario`` builds a fresh chip and harness per call and never
+#: mutates the scenario).
 _SCENARIOS: dict = {}
 
 
